@@ -2,7 +2,9 @@
 
 Modes:
   setup  import nngp, load the warm table, make the inputs, print READY, exit
-  run    setup, then the timed closed loop with tracing off, then the checks
+  run    setup, one untimed warm-up op, then the timed closed loop with
+         tracing off, a reference computation after each op (reference.py),
+         then the checks
   trace  traced setup, then an untraced, a traced and an untraced op, then
          the checks
 
@@ -52,6 +54,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     _ensure_checkout_package()
+    import reference
     import tracing
     import workloads
 
@@ -70,6 +73,9 @@ def main(argv=None) -> int:
         return 0
 
     times, digests, posteriors = [], [], []
+    # reference computation times, and each op's time over the mean of the
+    # reference runs just before and just after it
+    refs, rel = [], []
     errors = []
     out = None
     traced_s = None
@@ -77,12 +83,22 @@ def main(argv=None) -> int:
         with tracing.capture_posteriors(posteriors):
             if args.mode == "run":
                 start = time.perf_counter()
+                # untimed warm-up: the first op in a process pays first-touch
+                # and CPU wake-up costs that later ops do not
+                reference.timed()
+                out, dt = _timed_op(wl, state)
+                digests.append(wl.digest(state, out))
+                ref_before = reference.timed()
                 while True:
                     out, dt = _timed_op(wl, state)
+                    ref_after = reference.timed()
                     times.append(dt)
+                    refs.append(ref_after)
+                    rel.append(dt / (0.5 * (ref_before + ref_after)))
+                    ref_before = ref_after
                     digests.append(wl.digest(state, out))
                     # closed loop: start another op only if it should end in time
-                    if time.perf_counter() - start + dt > args.seconds:
+                    if time.perf_counter() - start + dt + ref_after > args.seconds:
                         break
             else:
                 # untraced, traced, untraced: the first op in a process pays
@@ -102,8 +118,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
     peak_rss = _peak_rss_mb()
 
-    result = {"op_s": times, "traced_op_s": traced_s, "peak_rss_mb": peak_rss,
-              "ops": len(times) + (traced_s is not None) + len(errors), "errors": errors,
+    result = {"op_s": times, "ref_s": refs, "op_rel": rel, "traced_op_s": traced_s,
+              "peak_rss_mb": peak_rss, "ops": len(digests) + len(errors), "errors": errors,
               "digests": digests, "checks": [], "oracle_err": None,
               "summary": None, "per_layer": None, "timings": None,
               "versions": _versions()}

@@ -1,15 +1,16 @@
 """nngp benchmark: one workload, one seed, end-to-end or traced per-layer metrics.
 
-    python3 perfbench/run.py --workload run_deep --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload run_deep --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout. Every measurement happens in a fresh child
 process (perfbench/child.py) that imports nngp from ./src, so set-up time
 includes the import and peak memory belongs to that workload alone.
 
---trace 0: SETUP_SAMPLES fresh processes time set-up; one more does set-up
-and then the workload's operation closed loop (the next operation starts
-only if it should end within --seconds; at least one runs). Prints all end-
-to-end metrics, then the gated ones as the last line.
+--trace 0: SETUP_SAMPLES fresh processes time set-up; one more does set-up,
+one untimed warm-up operation and then the workload's operation closed loop
+(the next operation starts only if it should end within --seconds; at least
+one is timed). Prints all end-to-end metrics, then the gated ones as the
+last line.
 --trace 1: one process runs the operation untraced, then traced, and prints
 the per-layer metrics and the tracing overhead.
 
@@ -48,6 +49,7 @@ DEADLINE_S = 870.0
 # (name, unit, better, workloads it applies to); BENCHMARK.json lists the
 # gated ones, which must apply to every workload
 END_TO_END = [
+    ("wall_ref", "ref", "lower", WORKLOADS),
     ("wall_s", "s", "lower", WORKLOADS),
     ("setup_s", "s", "lower", WORKLOADS),
     ("peak_rss_mb", "MB", "lower", WORKLOADS),
@@ -174,6 +176,7 @@ def measure(args) -> dict:
     if not setups:
         raise BenchError("no warm set-up sample")
     values = {
+        "wall_ref": statistics.median(res["op_rel"]),
         "wall_s": statistics.median(res["op_s"]),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": res["peak_rss_mb"],
@@ -186,7 +189,12 @@ def measure(args) -> dict:
         name: {"value": values[name] if args.workload in applies else None,
                "unit": unit, "better": better}
         for name, unit, better, applies in END_TO_END}
-    report["timings"] = {"wall_s": timing.summary(res["op_s"]), "setup_s": timing.summary(setups)}
+    report["timings"] = {"wall_ref": timing.summary(res["op_rel"]),
+                         "wall_s": timing.summary(res["op_s"]),
+                         "reference_s": timing.summary(res["ref_s"]),
+                         "setup_s": timing.summary(setups)}
+    report["samples"] = {"wall_ref": res["op_rel"], "wall_s": res["op_s"],
+                         "reference_s": res["ref_s"], "setup_s": setups}
     return report
 
 
@@ -225,7 +233,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"workload seed (default {DEFAULT_SEED}; held-out seed {HELD_OUT_SEED})")
-    ap.add_argument("--seconds", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.seconds < 1:

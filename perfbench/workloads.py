@@ -150,9 +150,12 @@ class RunWorkload(Workload):
 class PhaseSweepWorkload(Workload):
     """The hyperparameter-selection steps of demos/phase_diagram.py plus a sweep."""
 
-    SB2_LINE = np.linspace(0.0, 2.0, 15)
-    SW2_SWEEP = np.linspace(0.1, 5.0, 8)
-    SB2_SWEEP = np.linspace(0.0, 2.0, 8)
+    # every third point of the demo's 30x30 diagnose grid
+    SW2_DIAG = phase.SWEEP_SW2_GRID[::3]
+    SB2_DIAG = phase.SWEEP_SB2_GRID[::3]
+    SB2_LINE = np.linspace(0.0, 2.0, 5)
+    SW2_SWEEP = np.linspace(0.1, 5.0, 3)
+    SB2_SWEEP = np.linspace(0.0, 2.0, 3)
 
     def setup(self, seed: int, out_dir: Path) -> State:
         table, hit = _warm_table("tanh")
@@ -163,8 +166,8 @@ class PhaseSweepWorkload(Workload):
     def op(self, state: State):
         table = state.table
         diag = []
-        for sw2 in phase.SWEEP_SW2_GRID:
-            for sb2 in phase.SWEEP_SB2_GRID:
+        for sw2 in self.SW2_DIAG:
+            for sb2 in self.SB2_DIAG:
                 hp = kernel.NetworkHyperparams(depth=1, sigma_w2=float(sw2),
                                                sigma_b2=float(sb2), phi="tanh")
                 d = phase.diagnose(hp, table)
@@ -201,7 +204,7 @@ class VerifyWorkload(Workload):
     """The ``nngp verify`` path: kernel, then finite-width Monte Carlo."""
 
     HP = kernel.NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
-    N_POINTS, D_IN, WIDTH, NETWORKS = 5, 16, 1024, 10_000
+    N_POINTS, D_IN, WIDTH, NETWORKS = 5, 16, 1024, 2000
 
     def setup(self, seed: int, out_dir: Path) -> State:
         table, hit = _warm_table("tanh")
@@ -229,23 +232,32 @@ class VerifyWorkload(Workload):
 
 
 class TableBuildWorkload(Workload):
-    """``load_or_build`` of the default ReLU table into an empty cache, then read back."""
+    """``load_or_build`` of a ReLU table into an empty cache, then read back.
+
+    The grid is the default one with every COL_STRIDE-th correlation column:
+    the same pre-activation and variance axes, so the same work per column
+    and the same write path, in a twenty-fifth of the time. The stride is
+    odd, so each built column sits exactly on a column of the default table
+    cached by an earlier process.
+    """
 
     N_CELLS, N_DIAG = 12, 4
+    COL_STRIDE = 25
 
     def setup(self, seed: int, out_dir: Path) -> State:
         table, hit = _warm_table("relu")
+        d = table.grid
+        grid = lookup.build_grid(d.n_g, d.n_v, d.n_c // self.COL_STRIDE, d.u_max, d.s_max)
         rng = np.random.default_rng(seed)
-        grid = table.grid
         cells = np.column_stack([rng.integers(1, grid.n_v, self.N_CELLS),
                                  rng.integers(0, grid.n_c, self.N_CELLS)])
         rows = rng.integers(1, grid.n_v, self.N_DIAG)
-        return State(seed, out_dir, hit, table, {"cells": cells, "rows": rows})
+        return State(seed, out_dir, hit, table, {"grid": grid, "cells": cells, "rows": rows})
 
     def op(self, state: State):
         directory = tempfile.mkdtemp(prefix="table-", dir=state.out_dir)
         try:
-            built = lookup.load_or_build("relu", directory=directory)
+            built = lookup.load_or_build("relu", state.extra["grid"], directory=directory)
             back = lookup.load_table(lookup.cache_path("relu", built.grid, directory))
         finally:
             shutil.rmtree(directory)
@@ -271,21 +283,27 @@ class TableBuildWorkload(Workload):
         err = float(max(errs))
         same_back = bool(np.array_equal(built.f2d, back.f2d)
                          and np.array_equal(built.f1d, back.f1d))
-        same_warm = bool(np.array_equal(built.f2d, warm.f2d)
+        # the column centres agree to an ulp, not bit for bit, so compare
+        # to the oracle's tolerance; row 0 and f1d are computed identically
+        warm_cols = warm.f2d[:, self.COL_STRIDE // 2::self.COL_STRIDE]
+        warm_err = float(np.max(np.abs(built.f2d[1:] - warm_cols[1:]) / built.f1d[1:, None]))
+        same_warm = bool(warm_err <= TABLE_RTOL and np.array_equal(built.f2d[0], warm_cols[0])
                          and np.array_equal(built.f1d, warm.f1d))
         return err, [
             Check("table_vs_direct", err <= TABLE_RTOL, err, TABLE_RTOL,
                   "sampled cells and diagonal rows vs expectation_direct"),
             Check("table_round_trip", same_back, float(same_back), 1.0,
                   "load_table returns the arrays just built"),
-            Check("table_matches_cache", same_warm, float(same_warm), 1.0,
-                  "fresh build equals the table cached by an earlier process"),
+            Check("table_matches_cache", same_warm, warm_err, TABLE_RTOL,
+                  "fresh build vs the matching columns of the table cached by an earlier process"),
         ]
 
 
 WORKLOADS = {
+    # n_train 3000: below about 2500 the collapsed kernel's posterior
+    # variances stop going negative, and clamped_frac would hide item 1
     "run_deep": RunWorkload(n_train=3000, n_test=1000, depth=20),
-    "run_wide": RunWorkload(n_train=6000, n_test=2000, depth=1),
+    "run_wide": RunWorkload(n_train=4000, n_test=1000, depth=1),
     "phase_sweep": PhaseSweepWorkload(),
     "verify_mc": VerifyWorkload(),
     "table_build": TableBuildWorkload(),
