@@ -10,8 +10,7 @@ Writes prior_draws.csv with one column per draw.
 
 import numpy as np
 
-from nngp import NetworkHyperparams, sample_prior
-from nngp.kernel import _full_kernel_general
+from nngp import NetworkHyperparams, full_kernel, sample_prior
 
 hp = NetworkHyperparams(depth=10, sigma_w2=1.8, sigma_b2=0.01, phi="relu")
 grid = np.linspace(-1.0, 1.0, 201)
@@ -19,7 +18,7 @@ grid = grid[np.abs(grid) > 1e-12]
 
 n_show = 8
 draws = sample_prior(grid, hp, None, n_draws=10_000, seed=7)
-k = _full_kernel_general(grid[:, None], hp, None)
+k = full_kernel(grid, hp, None)
 dev = np.abs(draws.var(axis=0) - np.diag(k)) / np.diag(k)
 print(f"drew {draws.shape[0]} functions on {grid.size} points")
 print(f"max relative gap between draw variance and kernel diagonal: {dev.max():.3f}")

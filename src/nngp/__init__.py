@@ -35,9 +35,8 @@ from .kernel import (
     angular_profile,
     base_kernel,
     build_kernel_matrix,
+    full_kernel,
     iter_kernel_layers,
-    sample_prior,
-    step_kernel,
 )
 from .lookup import (
     GridParameterError,
@@ -70,6 +69,7 @@ from .regression import (
     calibration_bins,
     evaluate,
     posterior,
+    sample_prior,
 )
 
 __version__ = "0.1.0"

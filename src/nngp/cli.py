@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lookup
 from .data import load_csv, preprocess
-from .experiment import RunConfig, run_experiment
+from .experiment import RunConfig, _write_predictions, run_experiment
 from .finite_width import gaussianity_check, sample_empirical_kernel
 from .kernel import NetworkHyperparams, angular_profile, build_kernel_matrix
 from .phase import diagnose, heatmap_sweep
@@ -24,8 +24,7 @@ from .regression import calibration_bins, evaluate, posterior
 
 
 def _grid_from_args(args) -> lookup.QuadratureGrid:
-    u_max = args.umax if args.umax is not None else float(np.sqrt(2.0 * args.smax))
-    return lookup.build_grid(args.ng, args.nv, args.nc, u_max, args.smax)
+    return lookup.build_grid(args.ng, args.nv, args.nc, args.umax, args.smax)
 
 
 def _add_grid_options(p, required=False):
@@ -89,10 +88,7 @@ def cmd_regress(args) -> int:
     table = lookup.load_or_build(args.phi, _grid_from_args(args))
     k = build_kernel_matrix(ds.train_inputs, hp, table, ds.test_inputs)
     pred = posterior(k, ds.train_targets, hp)
-    header = (["point_id"] + [f"mean_{j}" for j in range(args.d_out)] + ["variance"])
-    rows = [[i] + [repr(float(m)) for m in pred.mean[i]] + [repr(float(pred.variance[i]))]
-            for i in range(n_test)]
-    _write_csv(args.pred_out, header, rows)
+    _write_predictions(args.pred_out, pred, range(n_test))
     metrics = evaluate(pred, ds.test_targets)
     if args.calib_out:
         bins = calibration_bins(pred, ds.test_targets, args.bin_size)

@@ -21,7 +21,8 @@ import numpy as np
 from . import data as data_mod
 from .data import Dataset, preprocess
 from .kernel import NetworkHyperparams, build_kernel_matrix
-from .lookup import build_grid, default_grid, load_or_build
+from .lookup import (DEFAULT_N_C, DEFAULT_N_G, DEFAULT_N_V, DEFAULT_S_MAX, build_grid,
+                     load_or_build)
 from .regression import evaluate, posterior
 
 REPORT_SCHEMA_VERSION = 1
@@ -181,12 +182,9 @@ def run_experiment(config: RunConfig) -> dict:
     timings["load_preprocess"] = time.perf_counter() - t0
 
     g = config.grid
-    if g:
-        u_max = g.get("u_max") or float(np.sqrt(2.0 * g.get("s_max", 100.0)))
-        grid = build_grid(g.get("n_g", 501), g.get("n_v", 501), g.get("n_c", 500),
-                          u_max, g.get("s_max", 100.0))
-    else:
-        grid = default_grid()
+    grid = build_grid(g.get("n_g", DEFAULT_N_G), g.get("n_v", DEFAULT_N_V),
+                      g.get("n_c", DEFAULT_N_C), g.get("u_max"),
+                      g.get("s_max", DEFAULT_S_MAX))
     t0 = time.perf_counter()
     table = load_or_build(config.phi, grid)
     timings["table"] = time.perf_counter() - t0

@@ -23,7 +23,7 @@ inputs of unequal norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class KernelMatrix:
     n_train: int
     test_diag: np.ndarray
     layer: int
-    point_ids: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.point_ids is None:
-            n = self.entries.shape[1]
-            object.__setattr__(self, "point_ids", np.arange(n))
 
     @property
     def n_test(self) -> int:
@@ -111,20 +105,6 @@ def base_kernel(x: np.ndarray, x2: np.ndarray, hp: NetworkHyperparams) -> float:
     return float(hp.sigma_b2 + hp.sigma_w2 * (x @ x2) / d_in)
 
 
-def step_kernel(k_xy: float, k_xx: float, k_yy: float, hp: NetworkHyperparams,
-                table: LookupTable) -> float:
-    """One layer of the recurrence through the lookup table.
-
-    Requires k_xx = k_yy (guaranteed by constant-norm preprocessing).
-    """
-    if abs(k_xx - k_yy) > _NORM_RTOL * max(abs(k_xx), abs(k_yy), 1e-30):
-        raise ValueError(
-            f"equal marginal variances required, got k_xx = {k_xx}, k_yy = {k_yy}; "
-            f"preprocess inputs to a common norm"
-        )
-    return hp.sigma_b2 + hp.sigma_w2 * interpolate(table, k_xy, k_xx)
-
-
 def analytic_relu_step(k_xy, k_xx, k_yy, hp: NetworkHyperparams):
     """Closed-form ReLU step (arccosine kernel), valid for unequal variances.
 
@@ -146,22 +126,26 @@ def analytic_relu_step(k_xy, k_xx, k_yy, hp: NetworkHyperparams):
     return float(out) if out.ndim == 0 else out
 
 
-def _step_offdiag(k_vec: np.ndarray, q: float, hp: NetworkHyperparams,
-                  table: LookupTable, layer: int):
-    """Advance off-diagonal covariances one layer at shared variance q."""
-    try:
-        f = interpolate(table, k_vec, q)
-    except TableRangeError as exc:
-        raise TableRangeError(f"layer {layer}: {exc}") from exc
-    return hp.sigma_b2 + hp.sigma_w2 * f
+def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
+               layer: int):
+    """Advance covariances k (scalar or array) one layer at shared variance q.
 
-
-def _step_diag(q: float, hp: NetworkHyperparams, table: LookupTable, layer: int) -> float:
-    try:
-        f = interpolate(table, q, q)
-    except TableRangeError as exc:
-        raise TableRangeError(f"layer {layer}: {exc}") from exc
-    return hp.sigma_b2 + hp.sigma_w2 * f
+    This is the one place the step sigma_b^2 + sigma_w^2 F(k, q) is applied
+    to constant-norm covariances; pass k = q to advance the variance itself.
+    Without a table only ReLU is supported, through its closed form.
+    """
+    if table is not None:
+        try:
+            f = interpolate(table, k, q)
+        except TableRangeError as exc:
+            raise TableRangeError(f"layer {layer}: {exc}") from exc
+        return hp.sigma_b2 + hp.sigma_w2 * f
+    if hp.phi != "relu":
+        raise ValueError(f"no analytic step for phi = {hp.phi!r}; pass a lookup table")
+    if q <= 0.0:
+        # zero variance: every pre-activation is 0 and relu(0) = 0
+        return hp.sigma_b2 + np.zeros_like(k)
+    return analytic_relu_step(k, q, q, hp)
 
 
 def _common_squared_norm(x: np.ndarray) -> float:
@@ -211,10 +195,10 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
 
     yield snapshot(0)
     for layer in range(1, hp.depth + 1):
-        upper = _step_offdiag(entries[iu, ju], q, hp, table, layer)
-        cross = (_step_offdiag(entries[:, n_train:].ravel(), q, hp, table, layer)
+        upper = _layer_map(entries[iu, ju], q, hp, table, layer)
+        cross = (_layer_map(entries[:, n_train:].ravel(), q, hp, table, layer)
                  .reshape(n_train, n_test)) if n_test else entries[:, n_train:]
-        q = _step_diag(q, hp, table, layer)
+        q = _layer_map(q, q, hp, table, layer)
         entries[iu, ju] = upper
         entries[ju, iu] = upper
         entries[idx, idx] = q
@@ -258,64 +242,31 @@ def angular_profile(hp: NetworkHyperparams, table: LookupTable | None = None,
     values = np.empty((hp.depth + 1, n_angles))
     values[0] = k
     for layer in range(1, hp.depth + 1):
-        if table is not None:
-            k = _step_offdiag(k, q, hp, table, layer)
-            q = _step_diag(q, hp, table, layer)
-        elif hp.phi == "relu":
-            if q <= 0.0:
-                k = np.full_like(k, hp.sigma_b2)
-                q = hp.sigma_b2
-            else:
-                k = analytic_relu_step(k, q, q, hp)
-                q = hp.sigma_b2 + hp.sigma_w2 * q / 2.0
-        else:
-            raise ValueError(f"no analytic step for phi = {hp.phi!r}; pass a lookup table")
+        k = _layer_map(k, q, hp, table, layer)
+        q = _layer_map(q, q, hp, table, layer)
         values[layer] = k
     return AngularProfile(thetas=thetas, values=values)
 
 
-def cholesky_with_jitter(k: np.ndarray, jitter0: float = DEFAULT_NOISE,
-                         max_tries: int = 10) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of k + jitter*I, escalating jitter by 10x."""
-    jitter = 0.0
-    for attempt in range(max_tries + 1):
-        try:
-            chol = np.linalg.cholesky(k + jitter * np.eye(k.shape[0]))
-            return chol, jitter
-        except np.linalg.LinAlgError:
-            jitter = jitter0 if jitter == 0.0 else jitter * 10.0
-    raise ArithmeticError(
-        f"Cholesky failed after {max_tries} jitter escalations (last jitter {jitter / 10.0})"
-    )
+def full_kernel(points: np.ndarray, hp: NetworkHyperparams,
+                table: LookupTable | None) -> np.ndarray:
+    """Full depth-L Gram matrix for points of possibly unequal norm.
 
-
-def _full_kernel_general(points: np.ndarray, hp: NetworkHyperparams,
-                         table: LookupTable | None) -> np.ndarray:
-    """Full Gram matrix for points of possibly unequal norm.
-
-    ReLU uses the closed-form step; other nonlinearities fall back to
+    ``points`` is a 1D array of scalar inputs or an (n, d) array. Equal-norm
+    points with a table go through :func:`build_kernel_matrix`; otherwise
+    ReLU uses the closed-form step and other nonlinearities fall back to
     per-pair direct quadrature (fine for the small grids prior draws use).
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     n, d_in = x.shape
-    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / d_in
-
     norms = np.einsum("ij,ij->i", x, x)
     const_norm = float(norms.max() - norms.min()) <= _NORM_RTOL * max(float(norms.max()), 1e-30)
     if const_norm and table is not None:
-        q = float(k[0, 0])
-        iu, ju = np.triu_indices(n, k=1)
-        idx = np.arange(n)
-        for layer in range(1, hp.depth + 1):
-            off = _step_offdiag(k[iu, ju], q, hp, table, layer)
-            q = _step_diag(q, hp, table, layer)
-            k[iu, ju] = off
-            k[ju, iu] = off
-            k[idx, idx] = q
-        return k
+        return build_kernel_matrix(x, hp, table).entries
 
+    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / d_in
     if hp.phi == "relu":
         for _ in range(hp.depth):
             d = np.diag(k).copy()
@@ -334,25 +285,3 @@ def _full_kernel_general(points: np.ndarray, hp: NetworkHyperparams,
             nxt[b, a] = nxt[a, b]
         k = nxt
     return k
-
-
-def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
-                 table: LookupTable | None, n_draws: int, seed: int,
-                 jitter0: float = DEFAULT_NOISE) -> np.ndarray:
-    """Draw zero-mean Gaussian functions with the depth-L kernel as covariance.
-
-    Returns (n_draws, n_points); deterministic given the seed. The grid may
-    be a 1D array of scalar inputs or an (n, d) array; equal-norm grids go
-    through the lookup table, unequal norms use the general kernel path.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    k = _full_kernel_general(x, hp, table)
-    n = k.shape[0]
-    if n_draws == 0:
-        return np.empty((0, n))
-    chol, _ = cholesky_with_jitter(k, jitter0)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n_draws))
-    return (chol @ z).T

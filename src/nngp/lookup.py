@@ -43,8 +43,6 @@ DEFAULT_N_G = 501
 DEFAULT_N_V = 501
 DEFAULT_N_C = 500
 DEFAULT_S_MAX = 100.0
-# s_max < u_max^2 must hold; sqrt(2 s_max) keeps factor-2 headroom.
-DEFAULT_U_MAX = float(np.sqrt(2.0 * DEFAULT_S_MAX))
 
 _MAGIC = b"NNGPLUT1"
 _PHI_TAG_BYTES = 16
@@ -91,12 +89,16 @@ class QuadratureGrid:
         return self.c.size
 
 
-def build_grid(n_g: int, n_v: int, n_c: int, u_max: float, s_max: float) -> QuadratureGrid:
+def build_grid(n_g: int, n_v: int, n_c: int, u_max: float | None = None,
+               s_max: float = DEFAULT_S_MAX) -> QuadratureGrid:
     """Construct the linearly spaced (u, s, c) grids.
 
-    Raises GridParameterError naming the violated inequality when a
-    precondition fails.
+    ``u_max=None`` means sqrt(2 s_max): s_max < u_max^2 must hold, and this
+    keeps factor-2 headroom. Raises GridParameterError naming the violated
+    inequality when a precondition fails.
     """
+    if u_max is None:
+        u_max = float(np.sqrt(2.0 * s_max))
     for name, val in (("n_g", n_g), ("n_v", n_v), ("n_c", n_c)):
         if int(val) != val or val < 2:
             raise GridParameterError(f"{name} >= 2 violated: {name} = {val}")
@@ -116,7 +118,7 @@ def build_grid(n_g: int, n_v: int, n_c: int, u_max: float, s_max: float) -> Quad
 
 
 def default_grid() -> QuadratureGrid:
-    return build_grid(DEFAULT_N_G, DEFAULT_N_V, DEFAULT_N_C, DEFAULT_U_MAX, DEFAULT_S_MAX)
+    return build_grid(DEFAULT_N_G, DEFAULT_N_V, DEFAULT_N_C)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ distribution at each test point is Gaussian with
 
 computed from a single symmetric factorization shared by every target
 column. If the factorization fails the noise is multiplied by 10 and
-retried, up to a bounded number of attempts.
+retried, up to a bounded number of attempts. Prior function draws use the
+same escalating factorization.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .kernel import DEFAULT_NOISE, KernelMatrix, NetworkHyperparams
+from .kernel import DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, full_kernel
+from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
 
@@ -59,6 +61,26 @@ def _factor_with_escalation(kdd: np.ndarray, noise: float):
     raise FactorizationError(
         f"Cholesky failed up to noise variance {current / 10.0}", noise=current / 10.0
     )
+
+
+def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
+                 table: LookupTable | None, n_draws: int, seed: int) -> np.ndarray:
+    """Draw zero-mean Gaussian functions with the depth-L kernel as covariance.
+
+    Returns (n_draws, n_points); deterministic given the seed. The grid may
+    be a 1D array of scalar inputs or an (n, d) array; equal-norm grids go
+    through the lookup table, unequal norms use the general kernel path
+    (see :func:`nngp.kernel.full_kernel`). The kernel is factored with no
+    added noise; if Cholesky fails, noise escalates as in :func:`posterior`.
+    """
+    k = full_kernel(points, hp, table)
+    n = k.shape[0]
+    if n_draws == 0:
+        return np.empty((0, n))
+    (chol, _), _ = _factor_with_escalation(k, 0.0)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n_draws))
+    return (np.tril(chol) @ z).T
 
 
 def posterior(k: KernelMatrix, targets: np.ndarray,

@@ -8,9 +8,9 @@ from nngp import (
     angular_profile,
     base_kernel,
     build_kernel_matrix,
+    full_kernel,
     iter_kernel_layers,
     sample_prior,
-    step_kernel,
 )
 
 from .conftest import constant_norm_points
@@ -53,32 +53,8 @@ def test_base_kernel_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# layer step: lookup vs closed forms
+# layer step: closed forms
 # ---------------------------------------------------------------------------
-
-def test_step_kernel_relu_diagonal(relu_table):
-    # theta = 0 gives sigma_b^2 + sigma_w^2 q / 2
-    hp = hp_relu(sw2=1.3, sb2=0.2)
-    q = 2.0
-    want = 0.2 + 1.3 * q / 2.0
-    assert step_kernel(q, q, q, hp, relu_table) == pytest.approx(want, rel=1e-6)
-
-
-def test_step_kernel_relu_independent(relu_table):
-    hp = hp_relu(sw2=1.0, sb2=0.0)
-    q = 2.0
-    assert step_kernel(0.0, q, q, hp, relu_table) == pytest.approx(q / (2 * np.pi), rel=1e-3)
-
-
-def test_step_kernel_tanh_zero_variance(tanh_table):
-    hp = hp_tanh(sw2=2.0, sb2=0.3)
-    assert step_kernel(0.0, 0.0, 0.0, hp, tanh_table) == pytest.approx(0.3)
-
-
-def test_step_kernel_requires_equal_variances(relu_table):
-    with pytest.raises(ValueError, match="common norm"):
-        step_kernel(0.5, 1.0, 2.0, hp_relu(), relu_table)
-
 
 def test_analytic_relu_step_theta_zero():
     hp = hp_relu(sw2=1.7, sb2=0.3)
@@ -203,6 +179,21 @@ def test_profile_lookup_tracks_analytic(relu_table):
     assert rel.max() <= 1e-2
 
 
+@pytest.mark.parametrize("phi", ["relu", "tanh"])
+def test_profile_rows_equal_matrix_entries_every_layer(phi, relu_table, tanh_table):
+    # the profile and the matrix advance covariances through the same layer map;
+    # point i sits at angle thetas[i] from point 0, with ||x||^2 = d_in = 4
+    table = relu_table if phi == "relu" else tanh_table
+    hp = NetworkHyperparams(depth=12, sigma_w2=1.6, sigma_b2=0.1, phi=phi)
+    prof = angular_profile(hp, table, n_angles=19)
+    t = prof.thetas
+    x = 2.0 * np.column_stack([np.cos(t), np.sin(t), np.zeros((t.size, 2))])
+    layers = list(iter_kernel_layers(x, hp, table))
+    assert len(layers) == hp.depth + 1
+    for layer, k in enumerate(layers):
+        np.testing.assert_allclose(k.kdd[0], prof.values[layer], rtol=0, atol=1e-12)
+
+
 def test_profile_requires_table_for_tanh():
     with pytest.raises(ValueError, match="lookup table"):
         angular_profile(hp_tanh(depth=2), table=None)
@@ -249,9 +240,7 @@ def test_sample_prior_1d_grid_diagonal_identity():
     grid = np.linspace(-1.0, 1.0, 21)
     grid = grid[np.abs(grid) > 1e-9]  # zero input has zero variance at sb2 ~ 0
     draws = sample_prior(grid, hp, None, 50_000, seed=3)
-    from nngp.kernel import _full_kernel_general
-
-    k = _full_kernel_general(grid[:, None], hp, None)
+    k = full_kernel(grid, hp, None)
     var = draws.var(axis=0)
     se = np.diag(k) * np.sqrt(2.0 / draws.shape[0])
     assert np.all(np.abs(var - np.diag(k)) <= 5 * se)
