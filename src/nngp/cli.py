@@ -18,7 +18,7 @@ from . import lookup
 from .data import load_csv, preprocess
 from .experiment import RunConfig, _write_predictions, run_experiment
 from .finite_width import gaussianity_check, sample_empirical_kernel
-from .kernel import NetworkHyperparams, angular_profile, build_kernel_matrix
+from .kernel import DEFAULT_NOISE, NetworkHyperparams, angular_profile, build_kernel_matrix
 from .phase import diagnose, heatmap_sweep
 from .regression import calibration_bins, evaluate, posterior
 
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--test", required=True)
     _add_model_options(p_reg)
     _add_grid_options(p_reg)
-    p_reg.add_argument("--noise", type=float, default=1e-10)
+    p_reg.add_argument("--noise", type=float, default=DEFAULT_NOISE)
     p_reg.add_argument("--d-out", type=int, default=10)
     p_reg.add_argument("--bin-size", type=int, default=100)
     p_reg.add_argument("--pred-out", required=True)
@@ -247,8 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

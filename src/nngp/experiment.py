@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import Dataset, preprocess
-from .kernel import NetworkHyperparams, build_kernel_matrix
+from .kernel import DEFAULT_NOISE, NetworkHyperparams, build_kernel_matrix
 from .lookup import (DEFAULT_N_C, DEFAULT_N_G, DEFAULT_N_V, DEFAULT_S_MAX, build_grid,
                      load_or_build)
 from .regression import evaluate, posterior
@@ -68,7 +68,7 @@ class RunConfig:
     sigma_w2: float = 1.0
     sigma_b2: float = 0.0
     phi: str = "relu"
-    noise: float = 1e-10
+    noise: float = DEFAULT_NOISE
     grid: dict = field(default_factory=dict)
     report_path: str | None = None
     predictions_path: str | None = None
@@ -92,7 +92,7 @@ class RunConfig:
             sigma_w2=model.get("sigma_w2", 1.0),
             sigma_b2=model.get("sigma_b2", 0.0),
             phi=model.get("phi", "relu"),
-            noise=model.get("noise", 1e-10),
+            noise=model.get("noise", DEFAULT_NOISE),
             grid=cfg.get("grid", {}),
             report_path=out.get("report"),
             predictions_path=out.get("predictions"),

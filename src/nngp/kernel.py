@@ -165,6 +165,9 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
 
     Cost per layer is O(n_train^2 + n_train n_test) interpolations; the
     train-train block is computed on its upper triangle and mirrored.
+    Each layer is written into a new array, and the next layer is read from
+    the last one yielded, so callers must not write into a yielded matrix
+    while iterating.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     n_train = x_train.shape[0]
@@ -172,8 +175,7 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
         x_all = x_train
     else:
         x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
-    d_in = x_all.shape[1]
-    n_all = x_all.shape[0]
+    n_all, d_in = x_all.shape
     rho = _common_squared_norm(x_all) / d_in
 
     q = hp.sigma_b2 + hp.sigma_w2 * rho
@@ -182,36 +184,29 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
             f"layer 0: base variance {q} exceeds s_max = {table.grid.s_max}"
         )
     entries = hp.sigma_b2 + hp.sigma_w2 * (x_train @ x_all.T) / d_in
-    iu, ju = np.triu_indices(n_train, k=1)
-    idx = np.arange(n_train)
-    entries[idx, idx] = q
+    np.fill_diagonal(entries[:, :n_train], q)
+    upper = np.triu(np.ones((n_train, n_train), dtype=bool), 1)
     n_test = n_all - n_train
-
-    def snapshot(layer):
-        return KernelMatrix(
-            entries=entries.copy(), n_train=n_train,
-            test_diag=np.full(n_test, q), layer=layer,
-        )
-
-    yield snapshot(0)
+    yield KernelMatrix(entries, n_train, np.full(n_test, q), 0)
     for layer in range(1, hp.depth + 1):
-        upper = _layer_map(entries[iu, ju], q, hp, table, layer)
-        cross = (_layer_map(entries[:, n_train:].ravel(), q, hp, table, layer)
-                 .reshape(n_train, n_test)) if n_test else entries[:, n_train:]
+        triu = _layer_map(entries[:, :n_train][upper], q, hp, table, layer)
+        cross = _layer_map(entries[:, n_train:], q, hp, table, layer)
         q = _layer_map(q, q, hp, table, layer)
-        entries[iu, ju] = upper
-        entries[ju, iu] = upper
-        entries[idx, idx] = q
-        if n_test:
-            entries[:, n_train:] = cross
-        yield snapshot(layer)
+        # allocated only now, so it never coexists with the maps' temporaries
+        entries = np.empty_like(entries)
+        entries[:, n_train:] = cross
+        kdd = entries[:, :n_train]
+        kdd[upper] = triu
+        kdd.T[upper] = triu
+        np.fill_diagonal(kdd, q)
+        del triu, cross  # not held through the next layer's maps
+        yield KernelMatrix(entries, n_train, np.full(n_test, q), layer)
 
 
 def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
                         table: LookupTable,
                         test_inputs: np.ndarray | None = None) -> KernelMatrix:
     """Kernel at the output layer over train (and optionally test) points."""
-    out = None
     for out in iter_kernel_layers(train_inputs, hp, table, test_inputs):
         pass
     return out

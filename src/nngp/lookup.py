@@ -149,18 +149,19 @@ class LookupTable:
         return 0.5 * float(c[1] - c[0])
 
 
-def _fft_column(phi_u: np.ndarray, gauss_only: bool, u: np.ndarray, s_pos: np.ndarray,
-                cj: float, nfft: int) -> np.ndarray:
-    """Sum_ab x_a x_b w_ab(s, cj) for every s in s_pos, with x = phi(u) or 1.
+def _fft_column(phi_u: np.ndarray, u: np.ndarray, s_pos: np.ndarray, cj: float,
+                nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum_ab x_a x_b w_ab(s, cj) for every s in s_pos, for x = phi(u) and x = 1.
 
-    Factorization for cj >= 0:
+    Returns both sums, the numerator and denominator of F. For cj >= 0:
         w_ab = g_a g_b T_{a-b},  g_a = exp(-u_a^2 / (2 s (1+c))),
         T_m  = exp(-c (m du)^2 / (2 s (1-c^2)))
     and for cj < 0 (so the lag factor still decays):
         w_ab = g_a g_b H_{a+b},  g_a = exp(-u_a^2 / (2 s (1-c))),
         H_m  = exp(c (m du - 2 u_max)^2 / (2 s (1-c^2)))
     turning the double sum into a lag-weighted autocorrelation /
-    self-convolution, batched over the whole variance axis.
+    self-convolution, batched over the whole variance axis. Both sums share g
+    and the lag weights; stacking their FFTs would double the transient memory.
     """
     n_g = u.size
     du = u[1] - u[0]
@@ -169,18 +170,21 @@ def _fft_column(phi_u: np.ndarray, gauss_only: bool, u: np.ndarray, s_pos: np.nd
         g = np.exp(-np.outer(1.0 / (2.0 * s_pos * (1.0 + cj)), u_sq))
         lags = np.arange(-(n_g - 1), n_g) * du
         lag_w = np.exp(-np.outer(cj / (2.0 * s_pos * (1.0 - cj * cj)), lags * lags))
-        x = g if gauss_only else phi_u * g
-        fx = np.fft.rfft(x, n=nfft, axis=1)
-        corr = np.fft.irfft(fx * np.conj(fx), n=nfft, axis=1)
-        corr = np.concatenate([corr[:, nfft - (n_g - 1):], corr[:, :n_g]], axis=1)
     else:
         g = np.exp(-np.outer(1.0 / (2.0 * s_pos * (1.0 - cj)), u_sq))
         m = np.arange(2 * n_g - 1) * du - 2.0 * u[-1]
         lag_w = np.exp(np.outer(cj / (2.0 * s_pos * (1.0 - cj * cj)), m * m))
-        x = g if gauss_only else phi_u * g
+
+    def weighted_sum(x):
         fx = np.fft.rfft(x, n=nfft, axis=1)
-        corr = np.fft.irfft(fx * fx, n=nfft, axis=1)[:, : 2 * n_g - 1]
-    return np.einsum("ij,ij->i", lag_w, corr)
+        if cj >= 0.0:
+            corr = np.fft.irfft(fx * np.conj(fx), n=nfft, axis=1)
+            corr = np.concatenate([corr[:, nfft - (n_g - 1):], corr[:, :n_g]], axis=1)
+        else:
+            corr = np.fft.irfft(fx * fx, n=nfft, axis=1)[:, : 2 * n_g - 1]
+        return np.einsum("ij,ij->i", lag_w, corr)
+
+    return weighted_sum(phi_u * g), weighted_sum(g)
 
 
 def populate(grid: QuadratureGrid, phi) -> LookupTable:
@@ -213,8 +217,7 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
     f2d = np.empty((grid.n_v, grid.n_c))
     f2d[0, :] = phi0_sq
     for j, cj in enumerate(grid.c):
-        num = _fft_column(phi_u, False, grid.u, s_pos, float(cj), nfft)
-        den = _fft_column(phi_u, True, grid.u, s_pos, float(cj), nfft)
+        num, den = _fft_column(phi_u, grid.u, s_pos, float(cj), nfft)
         f2d[1:, j] = num / den
     return LookupTable(grid=grid, f2d=f2d, f1d=f1d, nonlinearity=act.name,
                        activation=act)

@@ -32,6 +32,8 @@ _C_TOL = 1e-12
 _C_MAX_ITERS = 10_000
 _FD_STEP = 1e-5
 _CRITICAL_BAND = 1e-4
+_CRITICAL_BRACKET = (1e-3, 10.0)
+_CRITICAL_TOL = 1e-6
 
 # default sweep protocol: 30 x 30 grid over the two variances
 SWEEP_SW2_GRID = np.linspace(0.1, 5.0, 30)
@@ -225,17 +227,16 @@ def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) 
     return _slope_at_unit_correlation(hp, table)
 
 
-def critical_line(phi: str, sb2_grid: np.ndarray, table: LookupTable | None = None,
-                  bracket: tuple[float, float] = (1e-3, 10.0),
-                  tol: float = 1e-6) -> np.ndarray:
-    """sigma_w^2 with chi1 = 1, bisected per sigma_b^2 to ``tol`` in chi1.
+def critical_line(phi: str, sb2_grid: np.ndarray,
+                  table: LookupTable | None = None) -> np.ndarray:
+    """sigma_w^2 with chi1 = 1, bisected per sigma_b^2 on [1e-3, 10] to 1e-6 in chi1.
 
     Cells whose bracket shows no sign change come back as nan.
     """
     sb2_grid = np.asarray(sb2_grid, dtype=np.float64)
     out = np.empty(sb2_grid.shape)
     for i, sb2 in enumerate(sb2_grid):
-        lo, hi = bracket
+        lo, hi = _CRITICAL_BRACKET
         g_lo = chi1_at(phi, lo, float(sb2), table) - 1.0
         g_hi = chi1_at(phi, hi, float(sb2), table) - 1.0
         if not (np.isfinite(g_lo) and np.isfinite(g_hi)) or g_lo * g_hi > 0.0:
@@ -244,7 +245,7 @@ def critical_line(phi: str, sb2_grid: np.ndarray, table: LookupTable | None = No
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             g_mid = chi1_at(phi, mid, float(sb2), table) - 1.0
-            if abs(g_mid) <= tol or (hi - lo) < 1e-14:
+            if abs(g_mid) <= _CRITICAL_TOL or (hi - lo) < 1e-14:
                 break
             if g_lo * g_mid <= 0.0:
                 hi = mid
@@ -278,8 +279,7 @@ class HeatmapSweep:
 def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
                   sw2_grid: np.ndarray | None = None,
                   sb2_grid: np.ndarray | None = None,
-                  table: LookupTable | None = None,
-                  noise: float = 1e-10) -> HeatmapSweep:
+                  table: LookupTable | None = None) -> HeatmapSweep:
     """Full kernel build + posterior + accuracy per grid cell.
 
     Accuracy is measured on the validation split; one lookup table is shared
@@ -296,7 +296,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
     for i, sw2 in enumerate(sw2_grid):
         for j, sb2 in enumerate(sb2_grid):
             hp = NetworkHyperparams(depth=depth, sigma_w2=float(sw2),
-                                    sigma_b2=float(sb2), phi=phi, noise=noise)
+                                    sigma_b2=float(sb2), phi=phi)
             try:
                 k = build_kernel_matrix(x_train, hp, table, x_valid)
                 pred = posterior(k, t_train, hp)

@@ -50,12 +50,13 @@ class PosteriorPrediction:
 
 
 def _factor_with_escalation(kdd: np.ndarray, noise: float):
-    n = kdd.shape[0]
-    eye = np.eye(n)
     current = float(noise)
     for _ in range(_MAX_NOISE_RETRIES + 1):
+        # each attempt factors a fresh copy in place; kdd itself is never written
+        a = np.array(kdd, order="F")
+        np.fill_diagonal(a, a.diagonal() + current)
         try:
-            return cho_factor(kdd + current * eye, lower=True), current
+            return cho_factor(a, lower=True, overwrite_a=True), current
         except np.linalg.LinAlgError:
             current = DEFAULT_NOISE if current == 0.0 else current * 10.0
     raise FactorizationError(
@@ -103,10 +104,6 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
             f"targets have {t.shape[0]} rows but kernel has {k.n_train} training points"
         )
     factor, used = _factor_with_escalation(k.kdd, noise)
-    if k.n_test == 0:
-        return PosteriorPrediction(
-            mean=np.empty((0, t.shape[1])), variance=np.empty(0), noise_used=used
-        )
     kxd = k.kxd
     mean = kxd @ cho_solve(factor, t)
     v = cho_solve(factor, kxd.T)

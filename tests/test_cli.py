@@ -48,6 +48,20 @@ def test_kernel_profile_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(1.7)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--phi", "tanh", "--depth", "2"), "no analytic step for phi = 'tanh'"),
+    (("--phi", "relu", "--depth", "0"), "depth must be an integer >= 1"),
+])
+def test_kernel_input_error_exits_with_one_line(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("kernel", *argv, "--sw2", "1.6", "--sb2", "0.1", "--analytic",
+                "--profile-out", str(tmp_path / "profile.csv"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_regress_end_to_end(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,21 @@ def test_train_test_blocks_and_cost_shape(tanh_table):
     # cross block consistent with an all-train build over the pooled points
     full = build_kernel_matrix(np.vstack([x_train, x_test]), hp, tanh_table)
     np.testing.assert_allclose(k.kxd, full.kdd[8:, :8], rtol=1e-12)
+
+
+def test_build_peak_memory_is_a_few_kernel_buffers(tanh_table):
+    # one new buffer per layer plus the triangle mask and the layer map's
+    # temporaries; per-layer copies or int64 triangle indices exceed this
+    x_train = constant_norm_points(600, 20, seed=8)
+    x_test = constant_norm_points(200, 20, seed=9)
+    tracemalloc.start()
+    try:
+        k = build_kernel_matrix(x_train, hp_tanh(depth=3, sw2=1.5, sb2=0.1), tanh_table,
+                                x_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * k.entries.nbytes
 
 
 def test_depth_flattening_in_ordered_regime(tanh_table):

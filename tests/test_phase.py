@@ -181,7 +181,8 @@ def test_tanh_critical_line_tracks_gauss_hermite(tanh_table):
 
 
 def test_critical_line_flags_unbracketed_cells(tanh_table):
-    line = critical_line("tanh", np.array([0.5]), tanh_table, bracket=(1e-3, 1e-2))
+    # at sb2 = 40, chi1 stays below 1 (0.71) up to sw2 = 10, the top of the bracket
+    line = critical_line("tanh", np.array([40.0]), tanh_table)
     assert math.isnan(line[0])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,51 @@ def test_noise_used_recorded_without_escalation():
     k = make_kernel(np.eye(2), [[0.5, 0.5]], [1.0])
     pred = posterior(k, np.ones((2, 1)), noise=0.25)
     assert pred.noise_used == 0.25
+
+
+def test_posterior_without_test_points(tanh_table):
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    k = build_kernel_matrix(constant_norm_points(12, 8, seed=15), hp, tanh_table)
+    assert k.n_test == 0
+    pred = posterior(k, np.ones((12, 4)), hp)
+    assert pred.mean.shape == (0, 4)
+    assert pred.variance.shape == (0,)
+    assert pred.noise_used == hp.noise
+    assert pred.clamped == 0
+
+
+@pytest.mark.parametrize("sigma_w2", [1.3, 0.0])
+def test_posterior_leaves_kernel_bitwise_unchanged(sigma_w2, tanh_table):
+    # each attempt factors its own copy of K_DD in place. The bias-only
+    # kernel (sigma_w2 = 0) is exactly rank one, so zero noise fails and the
+    # retry has to start again from the untouched kernel.
+    hp = NetworkHyperparams(depth=2, sigma_w2=sigma_w2, sigma_b2=0.25, phi="tanh")
+    k = build_kernel_matrix(constant_norm_points(40, 8, seed=12), hp, tanh_table,
+                            constant_norm_points(10, 8, seed=13))
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    before = k.entries.tobytes()
+    pred = posterior(k, t, noise=0.0)
+    assert k.entries.tobytes() == before
+    assert (pred.noise_used > 0.0) == (sigma_w2 == 0.0)
+    direct = posterior(k, t, noise=pred.noise_used)
+    assert pred.mean.tobytes() == direct.mean.tobytes()
+    assert pred.variance.tobytes() == direct.variance.tobytes()
+
+
+def test_posterior_peak_memory_within_two_train_blocks(tanh_table):
+    # one Fortran-order copy of K_DD factored in place, plus the n_train x
+    # n_test solve; an identity matrix or a shifted copy would exceed this
+    hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    k = build_kernel_matrix(constant_norm_points(600, 20, seed=8), hp, tanh_table,
+                            constant_norm_points(200, 20, seed=9))
+    t = np.random.default_rng(10).standard_normal((600, 10))
+    tracemalloc.start()
+    try:
+        posterior(k, t, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * k.kdd.nbytes
 
 
 # ---------------------------------------------------------------------------
