@@ -12,12 +12,11 @@ Writes phase_tanh.csv and the critical lines to critical_lines.csv.
 
 import numpy as np
 
-from nngp import NetworkHyperparams, critical_line, diagnose, load_or_build
+from nngp import NetworkHyperparams, critical_line, diagnose, load_or_build, variance_grid
 
 table = load_or_build("tanh")
 
-sw2s = np.linspace(0.1, 5.0, 30)
-sb2s = np.linspace(0.0, 2.0, 30)
+sw2s, sb2s = variance_grid(30)
 rows = []
 for sw2 in sw2s:
     for sb2 in sb2s:
@@ -30,7 +29,7 @@ np.savetxt("phase_tanh.csv", rows, delimiter=",",
            header="sw2,sb2,q_star,c_star,chi1,xi,ordered", comments="")
 print("wrote phase_tanh.csv (30 x 30 tanh diagnostics)")
 
-sb2_grid = np.linspace(0.0, 2.0, 15)
+_, sb2_grid = variance_grid(15)
 tanh_line = critical_line("tanh", sb2_grid, table)
 relu_line = critical_line("relu", sb2_grid)
 np.savetxt("critical_lines.csv",

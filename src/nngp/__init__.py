@@ -10,10 +10,9 @@ expectation of a nonlinearity on a (variance, correlation) grid;
 runs. See demos/ for worked examples of each capability.
 """
 
-from .activations import ACTIVATIONS, Activation, get_activation
+from .activations import Activation
 from .data import (
     DataFormatError,
-    Dataset,
     load_cifar10_binary,
     load_csv,
     load_mnist_idx,
@@ -21,14 +20,8 @@ from .data import (
     synthetic_blobs,
 )
 from .experiment import RunConfig, build_dataset, find_mnist, run_experiment
-from .finite_width import (
-    FiniteNetSample,
-    NormalityStats,
-    gaussianity_check,
-    sample_empirical_kernel,
-)
+from .finite_width import gaussianity_check, sample_empirical_kernel
 from .kernel import (
-    AngularProfile,
     KernelMatrix,
     NetworkHyperparams,
     analytic_relu_step,
@@ -40,9 +33,7 @@ from .kernel import (
 )
 from .lookup import (
     GridParameterError,
-    LookupTable,
     NonFiniteActivationError,
-    QuadratureGrid,
     TableRangeError,
     build_grid,
     default_grid,
@@ -54,14 +45,13 @@ from .lookup import (
     save_table,
 )
 from .phase import (
-    HeatmapSweep,
-    PhaseDiagnostics,
     chi1_at,
     correlation_fixed_point,
     critical_line,
     diagnose,
     heatmap_sweep,
     variance_fixed_point,
+    variance_grid,
 )
 from .regression import (
     FactorizationError,

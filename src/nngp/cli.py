@@ -15,12 +15,14 @@ import sys
 import numpy as np
 
 from . import lookup
-from .data import load_csv, preprocess
-from .experiment import RunConfig, _write_predictions, run_experiment
+from .data import DataFormatError, load_csv, preprocess
+from .experiment import RunConfig, _write_predictions, build_dataset, run_experiment
 from .finite_width import gaussianity_check, sample_empirical_kernel
 from .kernel import DEFAULT_NOISE, NetworkHyperparams, angular_profile, build_kernel_matrix
-from .phase import diagnose, heatmap_sweep
+from .phase import diagnose, heatmap_sweep, variance_grid
 from .regression import calibration_bins, evaluate, posterior
+
+_CELLS_HELP = "points on each variance axis: sw2 in [0.1, 5], sb2 in [0, 2]"
 
 
 def _grid_from_args(args) -> lookup.QuadratureGrid:
@@ -77,7 +79,7 @@ def cmd_regress(args) -> int:
     x_train, y_train = load_csv(args.train)
     x_test, y_test = load_csv(args.test)
     if x_train.shape[1] != x_test.shape[1]:
-        raise SystemExit(f"train d_in {x_train.shape[1]} != test d_in {x_test.shape[1]}")
+        raise DataFormatError(f"train d_in {x_train.shape[1]} != test d_in {x_test.shape[1]}")
     x = np.vstack([x_train, x_test])
     y = np.concatenate([y_train, y_test])
     n_train, n_test = x_train.shape[0], x_test.shape[0]
@@ -103,8 +105,7 @@ def cmd_phase(args) -> int:
     table = None
     if args.phi != "relu":
         table = lookup.load_or_build(args.phi, _grid_from_args(args))
-    sw2s = np.linspace(0.1, args.sw2_max, args.cells)
-    sb2s = np.linspace(0.0, args.sb2_max, args.cells)
+    sw2s, sb2s = variance_grid(args.cells)
     rows = []
     for sw2 in sw2s:
         for sb2 in sb2s:
@@ -119,15 +120,9 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.from_json(args.dataset)
-    from .experiment import build_dataset
-    ds = build_dataset(cfg)
+    ds = build_dataset(RunConfig.from_json(args.dataset))
     table = lookup.load_or_build(args.phi, _grid_from_args(args))
-    grids = {}
-    if args.cells:
-        grids["sw2_grid"] = np.linspace(0.1, 5.0, args.cells)
-        grids["sb2_grid"] = np.linspace(0.0, 2.0, args.cells)
-    sweep = heatmap_sweep(ds, args.phi, args.depth, table=table, **grids)
+    sweep = heatmap_sweep(ds, args.phi, args.depth, *variance_grid(args.cells), table)
     rows = [[repr(float(sweep.sw2_grid[i])), repr(float(sweep.sb2_grid[j])),
              repr(float(sweep.cells[i, j]))]
             for i in range(sweep.sw2_grid.size) for j in range(sweep.sb2_grid.size)]
@@ -213,9 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phase = sub.add_parser("phase", help="fixed-point diagnostics grid to CSV")
     p_phase.add_argument("--phi", choices=("relu", "tanh"), required=True)
-    p_phase.add_argument("--sw2-max", type=float, default=5.0)
-    p_phase.add_argument("--sb2-max", type=float, default=2.0)
-    p_phase.add_argument("--cells", type=int, default=30)
+    p_phase.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
     _add_grid_options(p_phase)
     p_phase.add_argument("--out", required=True)
     p_phase.set_defaults(fn=cmd_phase)
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON config whose dataset section names the data")
     p_sweep.add_argument("--phi", choices=("relu", "tanh"), required=True)
     p_sweep.add_argument("--depth", type=int, required=True)
-    p_sweep.add_argument("--cells", type=int, default=None)
+    p_sweep.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
     _add_grid_options(p_sweep)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(fn=cmd_sweep)
@@ -251,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

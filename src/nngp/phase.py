@@ -7,10 +7,14 @@ how fast structure in the kernel is forgotten with depth: chi1 = 1 marks
 the critical line where the depth scale xi = -1/log(chi1) diverges, and
 predictive performance concentrates near that line.
 
-ReLU admits a closed-form map (used for its fixed points and for chi1,
-whose value is independent of q*); other nonlinearities go through the
-lookup table. Below the table's variance resolution the map is replaced by
-its exact small-variance linearization around c = 1.
+ReLU always uses its exact closed-form maps (written here on Python floats,
+since the critical line iterates them ~1e5 times), with or without a table:
+its table truncates the pre-activation range, which at large q falls short
+of F(q, q) = q/2 and can fake a fixed point where the variance diverges.
+Every other phi needs a lookup table, and its maps go through the kernel's
+layer step ``kernel._layer_map``. Below the table's variance resolution
+the correlation map is replaced by its exact small-variance linearization
+around c = 1.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernel import NetworkHyperparams, build_kernel_matrix
-from .lookup import LookupTable, interpolate, load_or_build
+from .kernel import NetworkHyperparams, _layer_map, build_kernel_matrix
+# phase does not call interpolate; perfbench/tracing.py patches nngp.phase.interpolate by name
+from .lookup import LookupTable, interpolate, load_or_build  # noqa: F401
 from .regression import evaluate, posterior
 
 _Q_TOL = 1e-10
@@ -35,9 +40,14 @@ _CRITICAL_BAND = 1e-4
 _CRITICAL_BRACKET = (1e-3, 10.0)
 _CRITICAL_TOL = 1e-6
 
+
+def variance_grid(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sw2, sb2) axes of the sweep protocol: cells points on [0.1, 5] x [0, 2]."""
+    return np.linspace(0.1, 5.0, cells), np.linspace(0.0, 2.0, cells)
+
+
 # default sweep protocol: 30 x 30 grid over the two variances
-SWEEP_SW2_GRID = np.linspace(0.1, 5.0, 30)
-SWEEP_SB2_GRID = np.linspace(0.0, 2.0, 30)
+SWEEP_SW2_GRID, SWEEP_SB2_GRID = variance_grid(30)
 
 
 @dataclass(frozen=True)
@@ -59,33 +69,26 @@ class PhaseDiagnostics:
         return math.isinf(self.q_star)
 
 
-def _variance_map(hp: NetworkHyperparams, table: LookupTable | None, analytic: bool):
-    if analytic:
-        def step(q):
-            return hp.sigma_b2 + hp.sigma_w2 * q / 2.0
-        return step, _Q_DIVERGENCE
-
-    def step(q):
-        return hp.sigma_b2 + hp.sigma_w2 * interpolate(table, q, q)
-    return step, table.grid.s_max
+def _closed_form(hp: NetworkHyperparams, table: LookupTable | None) -> bool:
+    """True for ReLU, the one phi with closed-form maps; others need a table."""
+    if hp.phi == "relu":
+        return True
+    if table is None:
+        raise ValueError(f"no closed-form map for phi = {hp.phi!r}; pass a lookup table")
+    return False
 
 
-def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = None,
-                         method: str = "auto") -> float:
+def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = None) -> float:
     """Fixed point of q <- sigma_b^2 + sigma_w^2 F(q, q, q), or math.inf.
 
-    method: "analytic" (ReLU closed form), "table", or "auto" (analytic for
-    ReLU, table otherwise). Divergence  -- q escaping the tabulated range, or
-    monotone growth past 1e6 or through the iteration cap -- is a labeled
+    Divergence -- q escaping the tabulated range (the closed form's ceiling
+    is 1e6), or monotone growth through the iteration cap -- is a labeled
     outcome, not an error.
     """
-    if method == "auto":
-        method = "analytic" if hp.phi == "relu" else "table"
-    if method == "analytic" and hp.phi != "relu":
-        raise ValueError(f"no analytic variance map for phi = {hp.phi!r}")
-    if method == "table" and table is None:
-        raise ValueError("table method requires a lookup table")
-    step, ceiling = _variance_map(hp, table, analytic=(method == "analytic"))
+    if _closed_form(hp, table):
+        step, ceiling = (lambda q: hp.sigma_b2 + hp.sigma_w2 * q / 2.0), _Q_DIVERGENCE
+    else:
+        step, ceiling = (lambda q: _layer_map(q, q, hp, table, 1)), table.grid.s_max
 
     q = hp.sigma_b2 + hp.sigma_w2
     if q > ceiling:
@@ -106,14 +109,15 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
 
 
 def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: float):
-    """Return (map R(c), highest c at which R may be differenced).
+    """Return (map R(c), highest c at which R may be differenced), or None.
 
-    The table-backed map is exactly flat within half a c-spacing of 1 (the
-    diagonal routing), so finite differences stay inside the last genuine
-    2D cell. Below the table's variance resolution the exact small-variance
-    linearization R(c) = 1 - sw2 phi'(0)^2 (1 - c) is used instead.
+    None means q* diverged past the table, where no correlation map exists;
+    the closed-form ReLU map is q*-free in that limit. The table-backed map
+    is exactly flat within half a c-spacing of 1 (the diagonal routing), so
+    a finite difference is capped to end at the last c node, that routing's
+    edge.
     """
-    if hp.phi == "relu":
+    if _closed_form(hp, table):
         sw2, sb2 = hp.sigma_w2, hp.sigma_b2
 
         def r(c):
@@ -125,12 +129,9 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
             return (sb2 + sw2 * q_star * f) / q_star
         return r, 1.0 - _FD_STEP
 
-    if table is None:
-        raise ValueError(f"phi = {hp.phi!r} requires a lookup table")
     if math.isinf(q_star):
-        raise ValueError("correlation map undefined for divergent q*")
-    s_resolution = float(table.grid.s[1])
-    if q_star < s_resolution:
+        return None
+    if q_star < float(table.grid.s[1]):
         slope = hp.sigma_w2 * table.activation.derivative_at_zero() ** 2
 
         def r(c):
@@ -138,23 +139,16 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
         return r, 1.0 - _FD_STEP
 
     def r(c):
-        c = min(max(c, -1.0), 1.0)
-        return (hp.sigma_b2 + hp.sigma_w2 * interpolate(table, q_star * c, q_star)) / q_star
+        return _layer_map(q_star * min(max(c, -1.0), 1.0), q_star, hp, table, 1) / q_star
     return r, float(table.grid.c[-1]) - _FD_STEP
 
 
-def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
-                            q_star: float) -> tuple[float, float, float]:
-    """(c*, chi1, xi) for the correlation map at a finite q*.
+def _slope(r, c: float) -> float:
+    """Centered finite difference of the map r at c, step 1e-5."""
+    return float((r(c + _FD_STEP) - r(c - _FD_STEP)) / (2.0 * _FD_STEP))
 
-    chi1 is a centered finite difference of the map with step 1e-5 taken at
-    c* (capped just below the diagonal plateau); xi = -1/log(chi1), flagged
-    infinite within the critical band.
-    """
-    if math.isinf(q_star) and hp.phi != "relu":
-        raise ValueError("q* must be finite")
-    r, c_cap = _correlation_map(hp, table, q_star)
 
+def _fixed_point_stats(hp: NetworkHyperparams, r, c_cap: float) -> tuple[float, float, float]:
     if hp.sigma_w2 == 0.0:
         return 1.0, 0.0, 0.0
 
@@ -167,11 +161,7 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
         c = c_next
     c_star = float(c)
 
-    c_eval = min(c_star, c_cap)
-    h = _FD_STEP
-    chi1 = (r(c_eval + h) - r(c_eval - h)) / (2.0 * h)
-    chi1 = float(max(chi1, 0.0))
-
+    chi1 = max(_slope(r, min(c_star, c_cap)), 0.0)
     if abs(chi1 - 1.0) < _CRITICAL_BAND:
         xi = math.inf
     elif chi1 == 0.0:
@@ -183,48 +173,53 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
     return c_star, chi1, xi
 
 
-def _phase_label(phi: str, q_star: float, c_star: float, diag_tol: float) -> str:
-    if phi == "relu":
-        return "bounded" if math.isfinite(q_star) else "unbounded"
-    return "ordered" if 1.0 - c_star < diag_tol else "chaotic"
+def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
+                            q_star: float) -> tuple[float, float, float]:
+    """(c*, chi1, xi) for the correlation map at a finite q*.
 
-
-def _slope_at_unit_correlation(hp: NetworkHyperparams, table: LookupTable | None) -> float:
-    """Derivative of the correlation map at c -> 1-.
-
-    c = 1 is always a fixed point of the map; its stability flips exactly on
-    the critical line, so this slope crosses 1 monotonically in sigma_w^2
-    (the slope at an interior chaotic fixed point does not).
+    chi1 is a centered finite difference of the map with step 1e-5 taken at
+    c* (capped just below the diagonal plateau); xi = -1/log(chi1), flagged
+    infinite within the critical band.
     """
-    q_star = variance_fixed_point(hp, table)
-    if math.isinf(q_star) and hp.phi != "relu":
-        return math.nan
-    r, c_cap = _correlation_map(hp, table, q_star)
-    h = _FD_STEP
-    c_eval = c_cap
-    return float((r(c_eval + h) - r(c_eval - h)) / (2.0 * h))
+    corr = _correlation_map(hp, table, q_star)
+    if corr is None:
+        raise ValueError("q* must be finite")
+    return _fixed_point_stats(hp, *corr)
 
 
 def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseDiagnostics:
-    """Full fixed-point diagnostics for one hyperparameter point."""
+    """Full fixed-point diagnostics for one hyperparameter point.
+
+    ReLU is labeled bounded or unbounded, other phi ordered (c* within
+    half a c-spacing of 1), chaotic or unbounded.
+    """
     q_star = variance_fixed_point(hp, table)
-    if math.isinf(q_star) and hp.phi != "relu":
+    corr = _correlation_map(hp, table, q_star)
+    if corr is None:
         return PhaseDiagnostics(q_star=q_star, c_star=math.nan, chi1=math.nan,
                                 xi=math.nan, phase="unbounded")
-    c_star, chi1, xi = correlation_fixed_point(hp, table, q_star)
-    diag_tol = 1e-6 if table is None else table.diag_tol
-    phase = _phase_label(hp.phi, q_star, c_star, diag_tol)
+    c_star, chi1, xi = _fixed_point_stats(hp, *corr)
+    if math.isinf(q_star):
+        phase = "unbounded"
+    elif hp.phi == "relu":
+        phase = "bounded"
+    else:
+        phase = "ordered" if 1.0 - c_star < table.diag_tol else "chaotic"
     return PhaseDiagnostics(q_star=q_star, c_star=c_star, chi1=chi1, xi=xi, phase=phase)
 
 
 def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) -> float:
     """Stability of the unit-correlation fixed point at one (sw2, sb2).
 
-    This is the quantity whose crossing of 1 defines the critical line; at
-    the crossing it coincides with the chi1 reported by diagnose().
+    This is the derivative of the correlation map at c -> 1-. c = 1 is
+    always a fixed point; its stability flips exactly on the critical line,
+    so this slope crosses 1 monotonically in sigma_w^2 (the slope at an
+    interior chaotic fixed point does not). It equals the chi1 reported by
+    diagnose() wherever c* = 1, and is nan where q* diverged past the table.
     """
     hp = NetworkHyperparams(depth=1, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
-    return _slope_at_unit_correlation(hp, table)
+    corr = _correlation_map(hp, table, variance_fixed_point(hp, table))
+    return math.nan if corr is None else _slope(*corr)
 
 
 def critical_line(phi: str, sb2_grid: np.ndarray,
@@ -277,8 +272,8 @@ class HeatmapSweep:
 
 
 def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
-                  sw2_grid: np.ndarray | None = None,
-                  sb2_grid: np.ndarray | None = None,
+                  sw2_grid: np.ndarray = SWEEP_SW2_GRID,
+                  sb2_grid: np.ndarray = SWEEP_SB2_GRID,
                   table: LookupTable | None = None) -> HeatmapSweep:
     """Full kernel build + posterior + accuracy per grid cell.
 
@@ -286,8 +281,8 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
     across all cells. Per-cell failures (variance escaping the table,
     factorization breakdown) leave nan cells.
     """
-    sw2_grid = SWEEP_SW2_GRID if sw2_grid is None else np.asarray(sw2_grid, float)
-    sb2_grid = SWEEP_SB2_GRID if sb2_grid is None else np.asarray(sb2_grid, float)
+    sw2_grid = np.asarray(sw2_grid, float)
+    sb2_grid = np.asarray(sb2_grid, float)
     if table is None:
         table = load_or_build(phi)
     x_train, t_train = dataset.train_inputs, dataset.train_targets

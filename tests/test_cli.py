@@ -62,6 +62,35 @@ def test_kernel_input_error_exits_with_one_line(tmp_path, capsys, argv, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case,message", [
+    ("missing_train", "No such file or directory"),
+    ("missing_dataset", "No such file or directory"),
+    ("d_in_mismatch", "train d_in 8 != test d_in 5"),
+])
+def test_input_error_exits_as_usage_error(tmp_path, capsys, case, message):
+    train = tmp_path / "train.csv"
+    test = tmp_path / "test.csv"
+    write_blob_csv(train, 20, seed=1)
+    write_blob_csv(test, 10, seed=2, d_in=5 if case == "d_in_mismatch" else 8)
+    if case == "missing_train":
+        train = tmp_path / "missing.csv"
+    model = ("--phi", "tanh", "--depth", "2", *small_grid_args())
+    if case == "missing_dataset":
+        argv = ("sweep", "--dataset", str(tmp_path / "missing.json"), *model,
+                "--out", str(tmp_path / "sweep.csv"))
+    else:
+        argv = ("regress", "--train", str(train), "--test", str(test), *model,
+                "--sw2", "1.3", "--sb2", "0.2", "--d-out", "4",
+                "--pred-out", str(tmp_path / "pred.csv"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("usage: nngp")
+    assert "Traceback" not in err
+
+
 def test_regress_end_to_end(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"

@@ -16,6 +16,7 @@ from nngp import (
     posterior,
     variance_fixed_point,
 )
+from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
 from .oracles import tanh_chi1_gh, tanh_qstar_gh
@@ -40,19 +41,35 @@ def test_relu_divergence_at_boundary():
 
 
 def test_relu_table_path_matches_closed_form(relu_table):
-    # 1e-6 equivalence holds while q* sits well inside the tabulated range;
-    # truncation at u_max (spec's sqrt(2 s_max)) bites for large fixed points
+    # the table's variance map against sb2 + sw2 q / 2: 1e-6 equivalence holds
+    # while q sits well inside the tabulated range; truncation at u_max
+    # (spec's sqrt(2 s_max)) bites for large q
     rng = np.random.default_rng(0)
-    checked = 0
-    while checked < 10:
-        sw2 = rng.uniform(0.1, 1.9)
-        sb2 = rng.uniform(0.01, 2.0)
-        want = sb2 / (1.0 - sw2 / 2.0)
-        if want > 4.0:
-            continue
-        got = variance_fixed_point(hp("relu", sw2, sb2), relu_table, method="table")
-        assert got == pytest.approx(want, rel=1e-6)
-        checked += 1
+    for _ in range(10):
+        sw2, sb2, q = rng.uniform(0.1, 1.9), rng.uniform(0.01, 2.0), rng.uniform(0.05, 4.0)
+        got = _layer_map(q, q, hp("relu", sw2, sb2), relu_table, 1)
+        assert got == pytest.approx(sb2 + sw2 * q / 2.0, rel=1e-6)
+
+
+def test_relu_keeps_closed_form_with_a_table(relu_table):
+    # the table's truncated range fakes a fixed point here (sw2 > 2 diverges)
+    # and escapes the table at the top of the critical-line bracket
+    h = hp("relu", 2.5, 0.3)
+    d = diagnose(h, relu_table)
+    assert d == diagnose(h)
+    assert d.phase == "unbounded" and d.chi1 == pytest.approx(1.25, rel=2e-3)
+    assert chi1_at("relu", 2.5, 0.3, relu_table) == chi1_at("relu", 2.5, 0.3)
+    line = critical_line("relu", np.array([0.5]), relu_table)
+    assert line[0] == critical_line("relu", np.array([0.5]))[0]
+    assert line[0] == pytest.approx(2.0, abs=0.01)
+
+
+def test_tanh_without_table_names_the_lookup_table():
+    h = hp("tanh", 1.5, 0.3)
+    for call in (lambda: diagnose(h), lambda: variance_fixed_point(h),
+                 lambda: chi1_at("tanh", 1.5, 0.3)):
+        with pytest.raises(ValueError, match="lookup table"):
+            call()
 
 
 def test_tanh_small_weight_variance_collapses_to_zero(tanh_table):
@@ -98,6 +115,16 @@ def test_tanh_ordered_phase(tanh_table):
     d = diagnose(h, tanh_table)
     assert d.phase == "ordered"
     assert d.c_star == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("phi,sw2,sb2", [("tanh", 0.5, 0.05), ("tanh", 3.1, 1.0),
+                                         ("relu", 1.0, 0.2), ("relu", 1.5, 0.5)])
+def test_ordered_chi1_equals_chi1_at(tanh_table, phi, sw2, sb2):
+    # with c* = 1 both take the slope at the same point of the same map
+    table = tanh_table if phi == "tanh" else None
+    d = diagnose(hp(phi, sw2, sb2), table)
+    assert d.c_star == pytest.approx(1.0, abs=1e-6)
+    assert d.chi1 == chi1_at(phi, sw2, sb2, table)
 
 
 def test_tanh_chaotic_phase(tanh_table):
