@@ -12,8 +12,9 @@ then one step per hidden layer,
 
 where F is the two-point expectation tabulated in :mod:`nngp.lookup`. With
 all inputs rescaled to a common norm every diagonal entry is identical at
-every layer, so the per-layer state is one scalar variance plus the
-off-diagonal covariances, and each step is a vectorized interpolation.
+every layer and K_L(x, x') depends only on the cosine x . x' / d_in, so the
+layer map is composed once over m fixed base cosines and every entry is
+interpolated from the input Gram: O(depth m + n^2), not O(depth n^2).
 
 For ReLU the step also has a closed form (the arccosine kernel), used both
 as an independent check of the lookup pipeline and as the fast path for
@@ -159,15 +160,30 @@ def _common_squared_norm(x: np.ndarray) -> float:
     return float(norms.mean())
 
 
-def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
-                       table: LookupTable, test_inputs: np.ndarray | None = None):
-    """Yield the KernelMatrix at layers 0..depth.
+def _compose(k: np.ndarray, q: float, hp: NetworkHyperparams,
+             table: LookupTable | None) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's one loop over layers: rows k_0..k_depth of k, and q_0..q_depth."""
+    rows = np.empty((hp.depth + 1, k.size))
+    qs = np.empty(hp.depth + 1)
+    rows[0], qs[0] = k, q
+    for layer in range(1, hp.depth + 1):
+        rows[layer] = _layer_map(rows[layer - 1], qs[layer - 1], hp, table, layer)
+        qs[layer] = _layer_map(qs[layer - 1], qs[layer - 1], hp, table, layer)
+    return rows, qs
 
-    Cost per layer is O(n_train^2 + n_train n_test) interpolations; the
-    train-train block is computed on its upper triangle and mirrored.
-    Each layer is written into a new array, and the next layer is read from
-    the last one yielded, so callers must not write into a yielded matrix
-    while iterating.
+
+# base cosines of the composition: spacing 2e-3 (finer than the default
+# table's c-spacing), plus 1 - c resolved geometrically down to 1e-15
+_TRANSFER_COSINES = np.union1d(np.linspace(-1.0, 1.0, 1025),
+                               1.0 - np.geomspace(1.0, 1e-15, 2048))
+
+
+def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTable,
+              test_inputs: np.ndarray | None, layers):
+    """Yield the KernelMatrix at each of layers, interpolated from the input Gram.
+
+    The train triangle is interpolated and mirrored; layer depth is written
+    over the Gram. Cosines past the end nodes clamp, to q at c = 1.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     n_train = x_train.shape[0]
@@ -175,7 +191,7 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
         x_all = x_train
     else:
         x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
-    n_all, d_in = x_all.shape
+    d_in = x_all.shape[1]
     rho = _common_squared_norm(x_all) / d_in
 
     q = hp.sigma_b2 + hp.sigma_w2 * rho
@@ -183,33 +199,33 @@ def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
         raise TableRangeError(
             f"layer 0: base variance {q} exceeds s_max = {table.grid.s_max}"
         )
-    entries = hp.sigma_b2 + hp.sigma_w2 * (x_train @ x_all.T) / d_in
-    np.fill_diagonal(entries[:, :n_train], q)
+    rows, qs = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, q, hp, table)
+    nodes = rho * d_in * _TRANSFER_COSINES  # in units of the Gram's x . x'
+    gram = x_train @ x_all.T
     upper = np.triu(np.ones((n_train, n_train), dtype=bool), 1)
-    n_test = n_all - n_train
-    yield KernelMatrix(entries, n_train, np.full(n_test, q), 0)
-    for layer in range(1, hp.depth + 1):
-        triu = _layer_map(entries[:, :n_train][upper], q, hp, table, layer)
-        cross = _layer_map(entries[:, n_train:], q, hp, table, layer)
-        q = _layer_map(q, q, hp, table, layer)
-        # allocated only now, so it never coexists with the maps' temporaries
-        entries = np.empty_like(entries)
-        entries[:, n_train:] = cross
-        kdd = entries[:, :n_train]
+    for layer in layers:
+        out = gram if layer == hp.depth else np.empty_like(gram)
+        # cross block first: its temporaries are freed before the triangle's
+        out[:, n_train:] = np.interp(gram[:, n_train:], nodes, rows[layer])
+        triu = np.interp(gram[:, :n_train][upper], nodes, rows[layer])
+        kdd = out[:, :n_train]
         kdd[upper] = triu
         kdd.T[upper] = triu
-        np.fill_diagonal(kdd, q)
-        del triu, cross  # not held through the next layer's maps
-        yield KernelMatrix(entries, n_train, np.full(n_test, q), layer)
+        np.fill_diagonal(kdd, qs[layer])
+        yield KernelMatrix(out, n_train, np.full(out.shape[1] - n_train, qs[layer]), layer)
+
+
+def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
+                       table: LookupTable, test_inputs: np.ndarray | None = None):
+    """Yield the KernelMatrix at layers 0..depth."""
+    yield from _read_off(train_inputs, hp, table, test_inputs, range(hp.depth + 1))
 
 
 def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
                         table: LookupTable,
                         test_inputs: np.ndarray | None = None) -> KernelMatrix:
     """Kernel at the output layer over train (and optionally test) points."""
-    for out in iter_kernel_layers(train_inputs, hp, table, test_inputs):
-        pass
-    return out
+    return next(_read_off(train_inputs, hp, table, test_inputs, [hp.depth]))
 
 
 @dataclass(frozen=True)
@@ -228,18 +244,12 @@ def angular_profile(hp: NetworkHyperparams, table: LookupTable | None = None,
                     n_angles: int = 181) -> AngularProfile:
     """K^l as a function of the angle between two constant-norm inputs.
 
-    Uses the lookup table when given; otherwise requires ReLU and iterates
+    Uses the lookup table when given; otherwise requires ReLU and composes
     the closed-form step.
     """
     thetas = np.linspace(0.0, math.pi, n_angles)
-    k = hp.sigma_b2 + hp.sigma_w2 * np.cos(thetas)
-    q = hp.sigma_b2 + hp.sigma_w2
-    values = np.empty((hp.depth + 1, n_angles))
-    values[0] = k
-    for layer in range(1, hp.depth + 1):
-        k = _layer_map(k, q, hp, table, layer)
-        q = _layer_map(q, q, hp, table, layer)
-        values[layer] = k
+    values, _ = _compose(hp.sigma_b2 + hp.sigma_w2 * np.cos(thetas),
+                         hp.sigma_b2 + hp.sigma_w2, hp, table)
     return AngularProfile(thetas=thetas, values=values)
 
 

@@ -114,8 +114,8 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
     None means q* diverged past the table, where no correlation map exists;
     the closed-form ReLU map is q*-free in that limit. The table-backed map
     is exactly flat within half a c-spacing of 1 (the diagonal routing), so
-    a finite difference is capped to end at the last c node, that routing's
-    edge.
+    a finite difference is capped to end one step below the last c node,
+    that routing's edge, where the k / q round trip can land on the plateau.
     """
     if _closed_form(hp, table):
         sw2, sb2 = hp.sigma_w2, hp.sigma_b2
@@ -140,7 +140,7 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
 
     def r(c):
         return _layer_map(q_star * min(max(c, -1.0), 1.0), q_star, hp, table, 1) / q_star
-    return r, float(table.grid.c[-1]) - _FD_STEP
+    return r, float(table.grid.c[-1]) - 2.0 * _FD_STEP
 
 
 def _slope(r, c: float) -> float:

@@ -85,3 +85,23 @@ def tanh_chi1_gh(sw2: float, sb2: float) -> float:
         return sw2
     z = np.sqrt(2.0 * q) * _gh_x
     return sw2 * float(_gh_w @ (1.0 / np.cosh(z)) ** 4) / np.sqrt(np.pi)
+
+
+def per_entry_kernel(x_train: np.ndarray, x_test: np.ndarray, hp, table):
+    """[K_DD | K_D,test] by the per-entry recursion, and the layer variance q_L.
+
+    Every Gram entry is advanced through every layer by the lookup step
+    sigma_b^2 + sigma_w^2 F(k, q) at the shared variance q: no composition
+    over base cosines and no interpolation of the Gram.
+    """
+    from nngp.lookup import interpolate
+
+    x = np.vstack([x_train, x_test])
+    d_in = x.shape[1]
+    q = hp.sigma_b2 + hp.sigma_w2 * float(np.einsum("ij,ij->i", x, x).mean()) / d_in
+    k = hp.sigma_b2 + hp.sigma_w2 * (x_train @ x.T) / d_in
+    np.fill_diagonal(k, q)
+    for _ in range(hp.depth):
+        k = hp.sigma_b2 + hp.sigma_w2 * interpolate(table, k, q)
+        q = hp.sigma_b2 + hp.sigma_w2 * interpolate(table, q, q)
+    return k, q

@@ -14,8 +14,10 @@ from nngp import (
     iter_kernel_layers,
     sample_prior,
 )
+from nngp.kernel import _TRANSFER_COSINES, _compose
 
 from .conftest import constant_norm_points
+from .oracles import per_entry_kernel
 
 
 def hp_relu(depth=1, sw2=1.0, sb2=0.0):
@@ -135,8 +137,9 @@ def test_train_test_blocks_and_cost_shape(tanh_table):
 
 
 def test_build_peak_memory_is_a_few_kernel_buffers(tanh_table):
-    # one new buffer per layer plus the triangle mask and the layer map's
-    # temporaries; per-layer copies or int64 triangle indices exceed this
+    # the Gram buffer the kernel is written into, the triangle mask, and the
+    # gathered triangle with its interpolated copy; a per-layer buffer or
+    # per-layer maps over the Gram entries exceed this
     x_train = constant_norm_points(600, 20, seed=8)
     x_test = constant_norm_points(200, 20, seed=9)
     tracemalloc.start()
@@ -146,7 +149,7 @@ def test_build_peak_memory_is_a_few_kernel_buffers(tanh_table):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * k.entries.nbytes
+    assert peak <= 2.25 * k.entries.nbytes
 
 
 def test_depth_flattening_in_ordered_regime(tanh_table):
@@ -168,6 +171,63 @@ def test_variance_escaping_table_names_layer(small_relu_table):
     hp = hp_relu(depth=30, sw2=3.0, sb2=0.1)
     with pytest.raises(TableRangeError, match="layer"):
         build_kernel_matrix(x, hp, small_relu_table)
+
+
+def test_norm_spread_within_tolerance_clamps_to_diagonal(relu_table):
+    # squared norms 5e-7 apart pass the common-norm check (1e-6); against the
+    # mean norm the long parallel pair has cosine 1 + 8e-8, which clamps to q_L
+    x = np.array([2.0, 0.0, 0.0, 0.0])
+    points = np.array([x, x, np.sqrt(1.0 + 5e-7) * x])
+    k = build_kernel_matrix(points, hp_relu(depth=3, sw2=1.5, sb2=0.1), relu_table)
+    assert np.all(k.entries == k.kdd[0, 0])
+    assert k.kdd[0, 0] == pytest.approx(0.90625, rel=1e-6)
+
+
+@pytest.mark.parametrize("phi,sw2,sb2,depth", [
+    ("relu", 1.45, 0.28, 1), ("relu", 1.45, 0.28, 10), ("relu", 1.45, 0.28, 20),
+    ("relu", 2.0, 0.0, 20), ("tanh", 1.5, 0.1, 3), ("tanh", 1.5, 0.1, 20),
+    ("tanh", 3.1, 1.0, 32), ("tanh", 5.0, 0.05, 100),
+])
+def test_kernel_matches_per_entry_recursion(phi, sw2, sb2, depth, blob_dataset,
+                                            relu_table, tanh_table):
+    # reading the kernel off the Gram through the composed transfer row
+    # against advancing every entry through every layer, on the same table;
+    # errors are relative to the largest oracle gap q_L - K_L and entry
+    table = relu_table if phi == "relu" else tanh_table
+    hp = NetworkHyperparams(depth=depth, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
+    x_train = blob_dataset.train_inputs[:500]
+    x_test = blob_dataset.test_inputs[:200]
+    k = build_kernel_matrix(x_train, hp, table, x_test).entries
+    ref, q = per_entry_kernel(x_train, x_test, hp, table)
+    off = np.ones(k.shape, dtype=bool)
+    np.fill_diagonal(off, False)
+    gap, gap_ref = k[0, 0] - k[off], q - ref[off]
+    collapsed = gap_ref == 0.0
+    assert np.all(gap[collapsed] == 0.0)
+    assert np.abs(gap - gap_ref).max() <= 2e-5 * np.abs(gap_ref).max()
+    assert np.abs(k - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sw2,sb2,depth", [(1.45, 0.28, 20), (2.0, 0.0, 20), (2.0, 0.0, 100)])
+def test_transfer_nodes_resolve_gaps_near_unit_cosine(sw2, sb2, depth):
+    # closed-form ReLU: the composed row interpolated at base cosines c0 with
+    # 1 - c0 in [1e-9, 1] against composing at c0 itself. Gaps shrink to
+    # ~2e-12, where one ulp of q_L is ~1e-4 of the gap, so a few ulps of
+    # rounding are allowed on top of the relative bound.
+    hp = hp_relu(depth=depth, sw2=sw2, sb2=sb2)
+    c0 = 1.0 - np.geomspace(1e-9, 1.0, 400)
+    exact, q_exact = _compose(sb2 + sw2 * c0, sb2 + sw2, hp, None)
+    gap_ref = q_exact[-1] - exact[-1]
+    ulps = 4.0 * np.spacing(q_exact[-1])
+
+    def gap_error(nodes):
+        rows, qs = _compose(sb2 + sw2 * nodes, sb2 + sw2, hp, None)
+        gap = qs[-1] - np.interp(c0, nodes, rows[-1])
+        return np.abs(gap - gap_ref) - (1e-4 * gap_ref + ulps)
+
+    assert gap_error(_TRANSFER_COSINES).max() <= 0.0
+    # a uniform grid alone does not resolve 1 - c0 below its spacing
+    assert gap_error(np.linspace(-1.0, 1.0, 2049)).max() > 0.0
 
 
 def test_inputs_must_share_norm(relu_table):
@@ -198,17 +258,18 @@ def test_profile_lookup_tracks_analytic(relu_table):
 
 @pytest.mark.parametrize("phi", ["relu", "tanh"])
 def test_profile_rows_equal_matrix_entries_every_layer(phi, relu_table, tanh_table):
-    # the profile and the matrix advance covariances through the same layer map;
-    # point i sits at angle thetas[i] from point 0, with ||x||^2 = d_in = 4
+    # angular_profile's rows are _compose over its cosines; the matrix reads
+    # the same composition off the Gram, exactly at the transfer nodes. So
+    # point i's cosine with point 0 is a node, with ||x||^2 = d_in = 4.
     table = relu_table if phi == "relu" else tanh_table
     hp = NetworkHyperparams(depth=12, sigma_w2=1.6, sigma_b2=0.1, phi=phi)
-    prof = angular_profile(hp, table, n_angles=19)
-    t = prof.thetas
-    x = 2.0 * np.column_stack([np.cos(t), np.sin(t), np.zeros((t.size, 2))])
+    c = _TRANSFER_COSINES[::-150]  # 1 (point 0 itself), then 1 - c from 3e-14 to 1.98
+    profile, _ = _compose(hp.sigma_b2 + hp.sigma_w2 * c, hp.sigma_b2 + hp.sigma_w2, hp, table)
+    x = 2.0 * np.column_stack([c, np.sqrt(1.0 - c * c), np.zeros((c.size, 2))])
     layers = list(iter_kernel_layers(x, hp, table))
     assert len(layers) == hp.depth + 1
     for layer, k in enumerate(layers):
-        np.testing.assert_allclose(k.kdd[0], prof.values[layer], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k.kdd[0], profile[layer], rtol=0, atol=1e-12)
 
 
 def test_profile_requires_table_for_tanh():

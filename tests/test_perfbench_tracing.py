@@ -3,14 +3,20 @@
 perfbench/tracing.py replaces ``module.attribute`` for every entry of its
 ``_TRACE_POINTS`` (and ``capture_posteriors`` replaces ``posterior`` in
 ``nngp.experiment`` and ``nngp.phase``). A rename in the library would
-break traced benchmark runs only, so the names are checked here.
+break traced benchmark runs only, so the names are checked here, and a
+small traced run checks that the counts the spans read still exist.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import nngp.experiment
+import nngp.kernel
 import nngp.phase
+
+from .conftest import constant_norm_points
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,3 +29,18 @@ def test_trace_points_resolve(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for module, attr in points
                if not callable(getattr(module, attr, None))]
     assert not missing
+
+
+def test_traced_run_reports_every_per_layer_metric(monkeypatch, small_tanh_table):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    hp = nngp.kernel.NetworkHyperparams(depth=2, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    x = constant_norm_points(8, 6, seed=0)
+    targets = np.eye(2)[np.arange(5) % 2]
+    with tracing.Tracer().installed() as tracer:
+        k = nngp.kernel.build_kernel_matrix(x[:5], hp, small_tanh_table, x[5:])
+        nngp.experiment.posterior(k, targets, hp)
+        nngp.phase.diagnose(hp, small_tanh_table)
+    metrics, _ = tracing.per_layer_metrics(tracer.spans, 0.0)
+    assert list(metrics) == [name for name, _, _ in tracing.PER_LAYER]
+    assert metrics["lookup.interpolate_calls"] > 0

@@ -207,6 +207,27 @@ def test_tanh_critical_line_tracks_gauss_hermite(tanh_table):
         assert got == pytest.approx(want, rel=0.05)
 
 
+def test_tanh_critical_line_at_large_bias(tanh_table):
+    # chi1_at crosses 1 near sw2 = 4.36 at sb2 = 2; a slope differenced onto
+    # the diagonal plateau crossed at 2.50
+    line = critical_line("tanh", np.array([2.0]), tanh_table)
+    assert line[0] == pytest.approx(4.36, abs=0.05)
+
+
+def test_ordered_cells_contract_on_sweep_grid(tanh_table):
+    # the 10 x 10 grid of the benchmark's phase sweep: an ordered fixed point
+    # is stable, so its chi1 is below 1
+    from nngp.phase import SWEEP_SB2_GRID, SWEEP_SW2_GRID
+
+    bad = []
+    for sw2 in SWEEP_SW2_GRID[::3]:
+        for sb2 in SWEEP_SB2_GRID[::3]:
+            d = diagnose(hp("tanh", float(sw2), float(sb2)), tanh_table)
+            if d.phase == "ordered" and d.chi1 >= 1.0:
+                bad.append((float(sw2), float(sb2), d.chi1))
+    assert not bad
+
+
 def test_critical_line_flags_unbracketed_cells(tanh_table):
     # at sb2 = 40, chi1 stays below 1 (0.71) up to sw2 = 10, the top of the bracket
     line = critical_line("tanh", np.array([40.0]), tanh_table)
