@@ -24,7 +24,8 @@ evaluated with one batched FFT per correlation column. This is
 exactly equal to the double sum up to float64 roundoff (~1e-12 relative)
 and reduces the build cost from O(n_g^2 n_v n_c) to O(n_g log n_g * n_v n_c);
 the default 501 x 501 x 500 table builds in well under a minute on one core.
-Queries are answered by bilinear interpolation and are O(1).
+Queries are answered by bilinear interpolation, O(1), over a c axis closed
+by nodes at c = +-1 so that correlations near 1 keep their gaps q - K.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +68,8 @@ class QuadratureGrid:
 
     u is symmetric about zero and strictly increasing; s starts at 0; the
     correlation points sit strictly inside (-1, 1) at the centers of n_c
-    equal subintervals (the degenerate |c| = 1 Gaussians are handled by the
-    dedicated diagonal table / antisymmetry instead).
+    equal subintervals (the degenerate |c| = 1 Gaussians are the diagonal
+    table / antisymmetry, the interpolation's end nodes).
     """
 
     u: np.ndarray
@@ -144,9 +146,14 @@ class LookupTable:
 
     @property
     def diag_tol(self) -> float:
-        """Correlations within half a grid spacing of 1 route to f1d."""
+        """Half-width of the end cells, between the outer c nodes and c = +-1."""
         c = self.grid.c
         return 0.5 * float(c[1] - c[0])
+
+    @cached_property
+    def c_nodes(self) -> np.ndarray:
+        """The interpolation's c axis: the grid's c closed by nodes at -1 and 1."""
+        return np.concatenate(([-1.0], self.grid.c, [1.0]))
 
 
 def _fft_column(phi_u: np.ndarray, u: np.ndarray, s_pos: np.ndarray, cj: float,
@@ -223,17 +230,13 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
                        activation=act)
 
 
-def _interp_f1d(table: LookupTable, k_xx) -> np.ndarray:
-    return np.interp(k_xx, table.grid.s, table.f1d)
-
-
 def interpolate(table: LookupTable, k_xy, k_xx: float):
     """Bilinear lookup of E[phi(u)phi(v)] at covariance k_xy, variance k_xx.
 
-    k_xy may be a scalar or an array (shared k_xx). Correlations within half
-    a c-spacing of 1 route to the diagonal table; below the lowest grid
-    point they use antisymmetry (odd phi) or clamp to the edge. Scalars in,
-    scalar out.
+    k_xy may be a scalar or an array (shared k_xx). The c axis ends at
+    nodes c = +-1 and is interpolated linearly throughout: the node at 1 is
+    the diagonal table f1d, the node at -1 is -f1d for odd phi and the
+    lowest column for other phi (a clamp). Scalars in, scalar out.
     """
     grid = table.grid
     k_xx = float(k_xx)
@@ -260,25 +263,18 @@ def interpolate(table: LookupTable, k_xy, k_xx: float):
         raise ValueError(
             f"|k_xy| <= k_xx violated: k_xy = {k_xy_arr[i]}, k_xx = {k_xx}"
         )
-    c_hat = np.clip(k_xy_arr / k_xx, -1.0, 1.0)
 
-    # blend the two bracketing variance rows once, then interpolate in c
-    s_grid = grid.s
-    ds = s_grid[1] - s_grid[0]
+    # blend the two bracketing variance rows once, then interpolate in c;
+    # np.interp clamps correlations past the end nodes
+    ds = grid.s[1] - grid.s[0]
     i0 = min(int(min(k_xx, grid.s_max) / ds), grid.n_v - 2)
     ws = k_xx / ds - i0
-    row = (1.0 - ws) * table.f2d[i0] + ws * table.f2d[i0 + 1]
+    row = np.empty(grid.n_c + 2)
+    row[1:-1] = (1.0 - ws) * table.f2d[i0] + ws * table.f2d[i0 + 1]
+    row[-1] = (1.0 - ws) * table.f1d[i0] + ws * table.f1d[i0 + 1]
+    row[0] = -row[-1] if table.activation.odd else row[1]
 
-    out = np.interp(c_hat, grid.c, row)
-
-    dtol = table.diag_tol
-    near_one = (1.0 - c_hat) < dtol
-    if np.any(near_one):
-        out[near_one] = _interp_f1d(table, k_xx)
-    if table.activation.odd:
-        near_minus_one = (1.0 + c_hat) < dtol
-        if np.any(near_minus_one):
-            out[near_minus_one] = -_interp_f1d(table, k_xx)
+    out = np.interp(k_xy_arr / k_xx, table.c_nodes, row)
     return float(out[0]) if scalar_in else out
 
 

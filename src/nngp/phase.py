@@ -5,7 +5,8 @@ variance q* (or to divergence) and every correlation toward a fixed point
 c*. The derivative chi1 of the correlation map at its fixed point controls
 how fast structure in the kernel is forgotten with depth: chi1 = 1 marks
 the critical line where the depth scale xi = -1/log(chi1) diverges, and
-predictive performance concentrates near that line.
+predictive performance concentrates near that line. c* = 1 (ordered) exactly
+when the map's slope at c = 1 is below 1 (Schoenholz et al. 2017).
 
 ReLU always uses its exact closed-form maps (written here on Python floats,
 since the critical line iterates them ~1e5 times), with or without a table:
@@ -109,13 +110,10 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
 
 
 def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: float):
-    """Return (map R(c), highest c at which R may be differenced), or None.
+    """Return the correlation map R(c) at q*, or None.
 
     None means q* diverged past the table, where no correlation map exists;
-    the closed-form ReLU map is q*-free in that limit. The table-backed map
-    is exactly flat within half a c-spacing of 1 (the diagonal routing), so
-    a finite difference is capped to end one step below the last c node,
-    that routing's edge, where the k / q round trip can land on the plateau.
+    the closed-form ReLU map is q*-free in that limit.
     """
     if _closed_form(hp, table):
         sw2, sb2 = hp.sigma_w2, hp.sigma_b2
@@ -127,7 +125,7 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
             if math.isinf(q_star) or q_star <= 0.0:
                 return sw2 * f
             return (sb2 + sw2 * q_star * f) / q_star
-        return r, 1.0 - _FD_STEP
+        return r
 
     if math.isinf(q_star):
         return None
@@ -136,32 +134,34 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: 
 
         def r(c):
             return 1.0 - slope * (1.0 - min(max(c, -1.0), 1.0))
-        return r, 1.0 - _FD_STEP
+        return r
 
     def r(c):
         return _layer_map(q_star * min(max(c, -1.0), 1.0), q_star, hp, table, 1) / q_star
-    return r, float(table.grid.c[-1]) - 2.0 * _FD_STEP
+    return r
 
 
-def _slope(r, c: float) -> float:
-    """Centered finite difference of the map r at c, step 1e-5."""
+def _slope(r, c: float = 1.0 - _FD_STEP) -> float:
+    """Centered finite difference of the map r at c, step 1e-5; by default at c -> 1-."""
     return float((r(c + _FD_STEP) - r(c - _FD_STEP)) / (2.0 * _FD_STEP))
 
 
-def _fixed_point_stats(hp: NetworkHyperparams, r, c_cap: float) -> tuple[float, float, float]:
+def _fixed_point_stats(hp: NetworkHyperparams, r) -> tuple[float, float, float]:
     if hp.sigma_w2 == 0.0:
         return 1.0, 0.0, 0.0
 
-    c = 0.5
-    for _ in range(_C_MAX_ITERS):
-        c_next = min(max(r(c), -1.0), 1.0)
-        if abs(c_next - c) < _C_TOL:
-            c = c_next
-            break
-        c = c_next
-    c_star = float(c)
-
-    chi1 = max(_slope(r, min(c_star, c_cap)), 0.0)
+    # c = 1 is a fixed point; when stable it is c*, reached without iterating
+    # (from 0.5 the iteration would converge to it only geometrically)
+    c_star, chi1 = 1.0, _slope(r)
+    if chi1 >= 1.0:
+        c = 0.5
+        for _ in range(_C_MAX_ITERS):
+            c, c_prev = min(max(r(c), -1.0), 1.0), c
+            if abs(c - c_prev) < _C_TOL:
+                break
+        c_star = float(c)
+        chi1 = _slope(r, min(c_star, 1.0 - _FD_STEP))
+    chi1 = max(chi1, 0.0)
     if abs(chi1 - 1.0) < _CRITICAL_BAND:
         xi = math.inf
     elif chi1 == 0.0:
@@ -177,34 +177,34 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
                             q_star: float) -> tuple[float, float, float]:
     """(c*, chi1, xi) for the correlation map at a finite q*.
 
-    chi1 is a centered finite difference of the map with step 1e-5 taken at
-    c* (capped just below the diagonal plateau); xi = -1/log(chi1), flagged
-    infinite within the critical band.
+    c* = 1 when the map's slope there (a step-1e-5 centered difference ending
+    at c = 1) is below 1, else the fixed point iterated from 0.5. chi1 is
+    that slope at c*; xi = -1/log(chi1), infinite within the critical band.
     """
-    corr = _correlation_map(hp, table, q_star)
-    if corr is None:
+    r = _correlation_map(hp, table, q_star)
+    if r is None:
         raise ValueError("q* must be finite")
-    return _fixed_point_stats(hp, *corr)
+    return _fixed_point_stats(hp, r)
 
 
 def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseDiagnostics:
     """Full fixed-point diagnostics for one hyperparameter point.
 
-    ReLU is labeled bounded or unbounded, other phi ordered (c* within
-    half a c-spacing of 1), chaotic or unbounded.
+    ReLU is labeled bounded or unbounded, other phi ordered (c* = 1, the
+    stable fixed point), chaotic or unbounded.
     """
     q_star = variance_fixed_point(hp, table)
-    corr = _correlation_map(hp, table, q_star)
-    if corr is None:
+    r = _correlation_map(hp, table, q_star)
+    if r is None:
         return PhaseDiagnostics(q_star=q_star, c_star=math.nan, chi1=math.nan,
                                 xi=math.nan, phase="unbounded")
-    c_star, chi1, xi = _fixed_point_stats(hp, *corr)
+    c_star, chi1, xi = _fixed_point_stats(hp, r)
     if math.isinf(q_star):
         phase = "unbounded"
     elif hp.phi == "relu":
         phase = "bounded"
     else:
-        phase = "ordered" if 1.0 - c_star < table.diag_tol else "chaotic"
+        phase = "ordered" if c_star == 1.0 else "chaotic"
     return PhaseDiagnostics(q_star=q_star, c_star=c_star, chi1=chi1, xi=xi, phase=phase)
 
 
@@ -218,8 +218,8 @@ def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) 
     diagnose() wherever c* = 1, and is nan where q* diverged past the table.
     """
     hp = NetworkHyperparams(depth=1, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
-    corr = _correlation_map(hp, table, variance_fixed_point(hp, table))
-    return math.nan if corr is None else _slope(*corr)
+    r = _correlation_map(hp, table, variance_fixed_point(hp, table))
+    return math.nan if r is None else _slope(r)
 
 
 def critical_line(phi: str, sb2_grid: np.ndarray,

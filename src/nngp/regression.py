@@ -4,12 +4,12 @@ With training targets t and observation noise variance eps2, the predictive
 distribution at each test point is Gaussian with
 
     mean     = K_xD (K_DD + eps2 I)^-1 t
-    variance = K_xx - K_xD (K_DD + eps2 I)^-1 K_xD^T
+    variance = K_xx - K_xD (K_DD + eps2 I)^-1 K_xD^T = K_xx - ||L^-1 K_Dx||^2
 
-computed from a single symmetric factorization shared by every target
-column. If the factorization fails the noise is multiplied by 10 and
-retried, up to a bounded number of attempts. Prior function draws use the
-same escalating factorization.
+computed from a single Cholesky factorization L L^T = K_DD + eps2 I shared
+by every target column. If the factorization fails the noise is multiplied
+by 10 and retried, up to a bounded number of attempts. Prior function draws
+use the same escalating factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .kernel import DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, full_kernel
 from .lookup import LookupTable
@@ -106,8 +106,8 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
     factor, used = _factor_with_escalation(k.kdd, noise)
     kxd = k.kxd
     mean = kxd @ cho_solve(factor, t)
-    v = cho_solve(factor, kxd.T)
-    variance = k.test_diag - np.einsum("ij,ji->i", kxd, v)
+    w = solve_triangular(factor[0], kxd.T, lower=True)
+    variance = k.test_diag - np.einsum("ij,ij->j", w, w)
     neg = variance < 0.0
     clamped = int(neg.sum())
     if np.any(variance < -1e-10):

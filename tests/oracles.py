@@ -105,3 +105,25 @@ def per_entry_kernel(x_train: np.ndarray, x_test: np.ndarray, hp, table):
         k = hp.sigma_b2 + hp.sigma_w2 * interpolate(table, k, q)
         q = hp.sigma_b2 + hp.sigma_w2 * interpolate(table, q, q)
     return k, q
+
+
+def arccos_kernel(x_train: np.ndarray, x_test: np.ndarray, hp):
+    """KernelMatrix of the closed-form ReLU (degree-1 arccosine) kernel.
+
+    The full Gram over train and test points is advanced through every layer
+    by the arccosine step, each entry with its own pair of diagonals: no
+    table, no composition over base cosines.
+    """
+    from nngp import KernelMatrix
+
+    x = np.vstack([x_train, x_test])
+    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / x.shape[1]
+    for _ in range(hp.depth):
+        norms = np.sqrt(np.outer(np.diag(k), np.diag(k)))
+        cos_t = np.clip(k / norms, -1.0, 1.0)
+        theta = np.arccos(cos_t)
+        k = hp.sigma_b2 + hp.sigma_w2 / (2.0 * np.pi) * norms * (
+            np.sin(theta) + (np.pi - theta) * cos_t)
+    n_train = x_train.shape[0]
+    return KernelMatrix(np.ascontiguousarray(k[:n_train]), n_train,
+                        np.diag(k)[n_train:].copy(), hp.depth)

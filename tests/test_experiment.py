@@ -80,8 +80,8 @@ def test_subset_selection(tmp_path):
 
 def test_duplicated_test_points_are_interpolated(small_tanh_table):
     # test set identical to the training set, near-zero noise: the posterior
-    # reproduces the targets exactly (and the cross block goes through the
-    # diagonal lookup routing)
+    # reproduces the targets exactly (and the cross block reads the table's
+    # end node c = 1, the diagonal f1d)
     from nngp import (NetworkHyperparams, build_kernel_matrix, evaluate,
                       posterior, preprocess, synthetic_blobs)
 

@@ -10,14 +10,16 @@ from nngp import (
     angular_profile,
     base_kernel,
     build_kernel_matrix,
+    evaluate,
     full_kernel,
     iter_kernel_layers,
+    posterior,
     sample_prior,
 )
 from nngp.kernel import _TRANSFER_COSINES, _compose
 
 from .conftest import constant_norm_points
-from .oracles import per_entry_kernel
+from .oracles import arccos_kernel, per_entry_kernel
 
 
 def hp_relu(depth=1, sw2=1.0, sb2=0.0):
@@ -175,12 +177,48 @@ def test_variance_escaping_table_names_layer(small_relu_table):
 
 def test_norm_spread_within_tolerance_clamps_to_diagonal(relu_table):
     # squared norms 5e-7 apart pass the common-norm check (1e-6); against the
-    # mean norm the long parallel pair has cosine 1 + 8e-8, which clamps to q_L
+    # mean norm the long parallel pair has cosine 1 + 8e-8, which clamps to
+    # q_L, and (x, x) has cosine 1 - 1.7e-7, which sits just below it
     x = np.array([2.0, 0.0, 0.0, 0.0])
     points = np.array([x, x, np.sqrt(1.0 + 5e-7) * x])
     k = build_kernel_matrix(points, hp_relu(depth=3, sw2=1.5, sb2=0.1), relu_table)
-    assert np.all(k.entries == k.kdd[0, 0])
-    assert k.kdd[0, 0] == pytest.approx(0.90625, rel=1e-6)
+    q = k.kdd[0, 0]
+    assert np.all(k.entries <= q) and np.all(k.entries >= q * (1.0 - 1e-6))
+    assert q == pytest.approx(0.90625, rel=1e-6)
+
+
+@pytest.mark.parametrize("depth,tol", [(20, 0.05), (40, 0.2)])
+def test_deep_relu_kernel_tracks_arccosine_gaps(depth, tol, blob_dataset, relu_table):
+    # at depth the information sits in the gaps q_L - K_L, which shrink toward
+    # the end node c = 1; the table must keep them, entry by entry, and the
+    # posterior must classify as the closed-form kernel does
+    hp = hp_relu(depth=depth, sw2=1.45, sb2=0.28)
+    x_train, x_valid = blob_dataset.train_inputs, blob_dataset.valid_inputs
+    k = build_kernel_matrix(x_train, hp, relu_table, x_valid)
+    ref = arccos_kernel(x_train, x_valid, hp)
+    off = np.ones(k.entries.shape, dtype=bool)
+    np.fill_diagonal(off, False)
+    gap = k.kdd[0, 0] - k.entries[off]
+    gap_ref = ref.kdd[0, 0] - ref.entries[off]
+    assert np.all(gap_ref > 0.0)
+    assert np.max(np.abs(gap - gap_ref) / gap_ref) <= tol
+    targets, truth = blob_dataset.train_targets, blob_dataset.valid_targets
+    acc = evaluate(posterior(k, targets, hp), truth)["accuracy"]
+    acc_ref = evaluate(posterior(ref, targets, hp), truth)["accuracy"]
+    assert acc == pytest.approx(acc_ref, abs=0.01)
+    assert acc_ref >= 0.9
+
+
+def test_tanh_sweep_cell_kernel_is_positive_definite(blob_dataset, tanh_table):
+    # an ordered depth-20 sweep cell, whose correlations approach 1: the
+    # kernel stays positive definite, so the posterior needs no extra noise
+    hp = hp_tanh(depth=20, sw2=2.55, sb2=1.0)
+    k = build_kernel_matrix(blob_dataset.train_inputs, hp, tanh_table,
+                            blob_dataset.valid_inputs)
+    assert k.min_eigenvalue() > 0.0
+    pred = posterior(k, blob_dataset.train_targets, hp)
+    assert pred.noise_used == hp.noise == 1e-10
+    assert pred.clamped == 0
 
 
 @pytest.mark.parametrize("phi,sw2,sb2,depth", [

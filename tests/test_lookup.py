@@ -199,6 +199,30 @@ def test_interpolation_matches_offgrid_quadrature(phi, relu_table, tanh_table):
         assert approx == pytest.approx(direct, rel=1e-3, abs=1e-9)
 
 
+# the seed-5 variances of the off-grid check above
+_OFFGRID_S = np.random.default_rng(5).uniform(0.5, 90.0, size=12)
+
+
+@pytest.mark.parametrize("phi,s", [
+    pytest.param(phi, s, id=f"{phi}-s{s:.2f}", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: the ReLU table's accuracy at large s")
+        if phi == "relu" and s > 30.0 else ())
+    for phi in ("relu", "tanh") for s in _OFFGRID_S
+])
+def test_interpolation_matches_offgrid_quadrature_in_end_cells(phi, s, relu_table,
+                                                               tanh_table):
+    # between the outer c nodes and the end nodes c = +-1 the interpolation
+    # is linear toward f1d (and -f1d for odd phi)
+    table = relu_table if phi == "relu" else tanh_table
+    c_vals = [0.9985, 0.999, 0.9995, 0.99999]
+    if phi == "tanh":
+        c_vals += [-0.999, -0.9995]
+    for c in c_vals:
+        direct = expectation_direct(phi, c * s, s, s, table.grid)
+        approx = interpolate(table, c * s, s)
+        assert approx == pytest.approx(direct, rel=1e-3, abs=1e-9)
+
+
 def test_direct_quadrature_matches_relu_closed_form():
     # Gauss-Hermite converges poorly across ReLU's kink, so the exact
     # arccosine expectation is the independent reference here

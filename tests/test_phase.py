@@ -19,7 +19,7 @@ from nngp import (
 from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
-from .oracles import tanh_chi1_gh, tanh_qstar_gh
+from .oracles import arccos_kernel, tanh_chi1_gh, tanh_qstar_gh
 
 
 def hp(phi, sw2, sb2, depth=1):
@@ -120,10 +120,11 @@ def test_tanh_ordered_phase(tanh_table):
 @pytest.mark.parametrize("phi,sw2,sb2", [("tanh", 0.5, 0.05), ("tanh", 3.1, 1.0),
                                          ("relu", 1.0, 0.2), ("relu", 1.5, 0.5)])
 def test_ordered_chi1_equals_chi1_at(tanh_table, phi, sw2, sb2):
-    # with c* = 1 both take the slope at the same point of the same map
+    # a slope below 1 at c -> 1- makes c* = 1 exactly; both then take the
+    # slope at the same point of the same map
     table = tanh_table if phi == "tanh" else None
     d = diagnose(hp(phi, sw2, sb2), table)
-    assert d.c_star == pytest.approx(1.0, abs=1e-6)
+    assert d.c_star == 1.0
     assert d.chi1 == chi1_at(phi, sw2, sb2, table)
 
 
@@ -199,19 +200,15 @@ def test_tanh_critical_line_grows_with_bias(tanh_table):
 
 
 def test_tanh_critical_line_tracks_gauss_hermite(tanh_table):
-    for sb2 in (0.5, 1.0):
-        got = critical_line("tanh", np.array([sb2]), tanh_table)[0]
-        from scipy.optimize import brentq
+    # the Gauss-Hermite line is 2.843, 3.443, 3.893, 4.268; the table's slope
+    # at c -> 1- is the chord of its last half c-cell, 0.3-0.5% high
+    from scipy.optimize import brentq
 
+    sb2_grid = np.array([0.5, 1.0, 1.5, 2.0])
+    got = critical_line("tanh", sb2_grid, tanh_table)
+    for sb2, line in zip(sb2_grid, got):
         want = brentq(lambda s: tanh_chi1_gh(s, sb2) - 1.0, 0.5, 6.0, xtol=1e-10)
-        assert got == pytest.approx(want, rel=0.05)
-
-
-def test_tanh_critical_line_at_large_bias(tanh_table):
-    # chi1_at crosses 1 near sw2 = 4.36 at sb2 = 2; a slope differenced onto
-    # the diagonal plateau crossed at 2.50
-    line = critical_line("tanh", np.array([2.0]), tanh_table)
-    assert line[0] == pytest.approx(4.36, abs=0.05)
+        assert line == pytest.approx(want, rel=1e-2)
 
 
 def test_ordered_cells_contract_on_sweep_grid(tanh_table):
@@ -275,14 +272,16 @@ def test_sweep_records_failed_cells_and_continues(blob_dataset, small_relu_table
     assert math.isnan(sweep.cells[1, 0])
 
 
-def test_deep_degenerate_kernels_reach_chance(blob_dataset, tanh_table):
-    # ordered collapse: correlations quantize to 1, no information survives
-    h_ord = hp("tanh", 1.1, 0.1, depth=50)
-    k = build_kernel_matrix(blob_dataset.train_inputs, h_ord, tanh_table,
-                            blob_dataset.valid_inputs)
-    acc_ord = evaluate(posterior(k, blob_dataset.train_targets, h_ord),
-                       blob_dataset.valid_targets)["accuracy"]
-    assert acc_ord <= 0.2
+def test_deep_degenerate_kernels_reach_chance(blob_dataset, relu_table, tanh_table):
+    # ordered collapse: the gaps q_L - K_L fall below one ulp of q_L, so the
+    # closed-form kernel loses all information too
+    h_ord = hp("relu", 1.45, 0.28, depth=100)
+    x_train, x_valid = blob_dataset.train_inputs, blob_dataset.valid_inputs
+    k = build_kernel_matrix(x_train, h_ord, relu_table, x_valid)
+    for kern in (k, arccos_kernel(x_train, x_valid, h_ord)):
+        acc_ord = evaluate(posterior(kern, blob_dataset.train_targets, h_ord),
+                           blob_dataset.valid_targets)["accuracy"]
+        assert acc_ord <= 0.2
 
     # chaotic collapse: structure falls below float64 resolution
     h_cha = hp("tanh", 5.0, 0.0, depth=300)
