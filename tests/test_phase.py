@@ -199,16 +199,26 @@ def test_tanh_critical_line_grows_with_bias(tanh_table):
     assert line[0] > 1.0
 
 
-def test_tanh_critical_line_tracks_gauss_hermite(tanh_table):
-    # the Gauss-Hermite line is 2.843, 3.443, 3.893, 4.268; the table's slope
-    # at c -> 1- is the chord of its last half c-cell, 0.3-0.5% high
+def _gauss_hermite_critical_sw2(sb2):
     from scipy.optimize import brentq
 
-    sb2_grid = np.array([0.5, 1.0, 1.5, 2.0])
+    return brentq(lambda s: tanh_chi1_gh(s, sb2) - 1.0, 0.5, 6.0, xtol=1e-10)
+
+
+def test_tanh_critical_line_tracks_gauss_hermite(tanh_table):
+    # the Gauss-Hermite line is 2.843, 3.443, 3.893; the table's slope at
+    # c -> 1- is the chord of its last half c-cell, 0.3-0.5% high
+    sb2_grid = np.array([0.5, 1.0, 1.5])
     got = critical_line("tanh", sb2_grid, tanh_table)
     for sb2, line in zip(sb2_grid, got):
-        want = brentq(lambda s: tanh_chi1_gh(s, sb2) - 1.0, 0.5, 6.0, xtol=1e-10)
-        assert line == pytest.approx(want, rel=1e-2)
+        assert line == pytest.approx(_gauss_hermite_critical_sw2(sb2), rel=1e-2)
+
+
+def test_tanh_critical_line_at_large_bias(tanh_table):
+    # the Gauss-Hermite line crosses at sw2 = 4.268 at sb2 = 2; a slope
+    # differenced onto the diagonal plateau crossed at 2.50
+    line = critical_line("tanh", np.array([2.0]), tanh_table)
+    assert line[0] == pytest.approx(_gauss_hermite_critical_sw2(2.0), rel=1e-2)
 
 
 def test_ordered_cells_contract_on_sweep_grid(tanh_table):
