@@ -127,6 +127,11 @@ def cmd_sweep(args) -> int:
              repr(float(sweep.cells[i, j]))]
             for i in range(sweep.sw2_grid.size) for j in range(sweep.sb2_grid.size)]
     _write_csv(args.out, ["sw2", "sb2", "accuracy"], rows)
+    if sweep.failures:
+        (i, j), reason = next(iter(sweep.failures.items()))
+        print(f"{len(sweep.failures)} of {sweep.cells.size} cells failed; first at "
+              f"sw2={sweep.sw2_grid[i]:.3f} sb2={sweep.sb2_grid[j]:.3f}: {reason}",
+              file=sys.stderr)
     best = sweep.argmax()
     print(f"best cell sw2={best[0]:.3f} sb2={best[1]:.3f} accuracy={best[2]:.4f}")
     return 0

@@ -14,7 +14,11 @@ where F is the two-point expectation tabulated in :mod:`nngp.lookup`. With
 all inputs rescaled to a common norm every diagonal entry is identical at
 every layer and K_L(x, x') depends only on the cosine x . x' / d_in, so the
 layer map is composed once over m fixed base cosines and every entry is
-interpolated from the input Gram: O(depth m + n^2), not O(depth n^2).
+interpolated from the input Gram: O(depth m + n^2), not O(depth n^2). The
+interpolation finds each entry's interval with an O(1) bracket (equal-width
+buckets over the cosine axis) and returns np.interp's value bit for bit, in
+row blocks of the Gram, so the n^2 term has a small constant and the only
+n^2 buffer is the Gram the kernel is written over.
 
 For ReLU the step also has a closed form (the arccosine kernel), used both
 as an independent check of the lookup pipeline and as the fast path for
@@ -176,14 +180,76 @@ def _compose(k: np.ndarray, q: float, hp: NetworkHyperparams,
 # table's c-spacing), plus 1 - c resolved geometrically down to 1e-15
 _TRANSFER_COSINES = np.union1d(np.linspace(-1.0, 1.0, 1025),
                                1.0 - np.geomspace(1.0, 1e-15, 2048))
+# equal-width buckets over the cosine axis; below c ~ 0.9992 none holds more
+# than two transfer nodes, above it the geometric nodes crowd toward c = 1
+_BUCKETS = 1 << 16
+# Gram entries per row block: each block temporary stays at 512 KiB
+_BLOCK_ENTRIES = 1 << 16
+
+
+class _Bracket:
+    """np.interp over the scaled transfer nodes in O(1) per entry, bit for bit.
+
+    An entry's bucket is a monotone function of its value, computed the same
+    way for entries and nodes, so every node in a lower bucket lies below the
+    entry and every node in a higher one above it. Starting from the count of
+    nodes below the entry's bucket, two forward comparisons find np.interp's
+    interval wherever a bucket holds at most two nodes; the crowded buckets
+    from the first one holding three on are the tail, left to np.interp.
+    """
+
+    def __init__(self, nodes: np.ndarray, scale: float):
+        self.nodes = nodes
+        per_unit = _BUCKETS / (2.0 * scale) if scale > 0.0 else math.inf
+        # zero or subnormal norms leave no finite bucket width: one bucket
+        # then holds every node and every entry, and np.interp reads them all
+        self.per_unit = per_unit if math.isfinite(per_unit) else 0.0
+        node_bucket = self.bucket(nodes)
+        self.cut = int(np.flatnonzero(np.bincount(node_bucket) > 2)[0])
+        # nodes below each bucket up to the cut; np.take(..., mode="clip")
+        # reads buckets under 0 as 0 and buckets past the cut as the cut
+        self.first = np.searchsorted(node_bucket, np.arange(self.cut + 1))
+
+    def bucket(self, v: np.ndarray) -> np.ndarray:
+        b = v * self.per_unit
+        b += _BUCKETS // 2
+        return b.astype(np.intp)
+
+    def interpolator(self, fp: np.ndarray):
+        """v -> np.interp(v, nodes, fp): interval j holds np.interp's formula
+        slope[j] (v - nodes[j]) + fp[j], with the left clamp as a zero-slope
+        interval before node 0."""
+        nodes, first, cut = self.nodes, self.first, self.cut
+        start = np.concatenate([nodes[:1], nodes])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # scaled tail nodes can coincide; np.interp reads the tail
+            slope = np.concatenate([[0.0], np.diff(fp) / np.diff(nodes)])
+        level = np.concatenate([fp[:1], fp])
+
+        def interp(v: np.ndarray, out: np.ndarray) -> None:
+            # e counts the nodes at or below v, so interval e - 1 holds v and
+            # index e of start, slope and level is that interval. out may be
+            # v itself: v is last read before out is first written.
+            b = self.bucket(v)
+            e = np.take(first, b, mode="clip")
+            e += np.take(nodes, e) <= v
+            e += np.take(nodes, e) <= v
+            tail = np.flatnonzero(b >= cut)
+            tail_values = np.interp(v.flat[tail], nodes, fp)
+            np.subtract(v, np.take(start, e), out=out)
+            out *= np.take(slope, e)
+            out += np.take(level, e)
+            out.flat[tail] = tail_values
+        return interp
 
 
 def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTable,
               test_inputs: np.ndarray | None, layers):
     """Yield the KernelMatrix at each of layers, interpolated from the input Gram.
 
-    The train triangle is interpolated and mirrored; layer depth is written
-    over the Gram. Cosines past the end nodes clamp, to q at c = 1.
+    Row blocks of the train triangle and the cross columns are interpolated
+    and the triangle mirrored; layer depth is written over the Gram. Cosines
+    past the end nodes clamp, to q at c = 1.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     n_train = x_train.shape[0]
@@ -191,7 +257,7 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
         x_all = x_train
     else:
         x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
-    d_in = x_all.shape[1]
+    n_all, d_in = x_all.shape
     rho = _common_squared_norm(x_all) / d_in
 
     q = hp.sigma_b2 + hp.sigma_w2 * rho
@@ -200,19 +266,28 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
             f"layer 0: base variance {q} exceeds s_max = {table.grid.s_max}"
         )
     rows, qs = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, q, hp, table)
-    nodes = rho * d_in * _TRANSFER_COSINES  # in units of the Gram's x . x'
+    scale = rho * d_in  # a cosine in units of the Gram's x . x'
+    bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
     gram = x_train @ x_all.T
-    upper = np.triu(np.ones((n_train, n_train), dtype=bool), 1)
     for layer in layers:
         out = gram if layer == hp.depth else np.empty_like(gram)
-        # cross block first: its temporaries are freed before the triangle's
-        out[:, n_train:] = np.interp(gram[:, n_train:], nodes, rows[layer])
-        triu = np.interp(gram[:, :n_train][upper], nodes, rows[layer])
-        kdd = out[:, :n_train]
-        kdd[upper] = triu
-        kdd.T[upper] = triu
-        np.fill_diagonal(kdd, qs[layer])
-        yield KernelMatrix(out, n_train, np.full(out.shape[1] - n_train, qs[layer]), layer)
+        interp = bracket.interpolator(rows[layer])
+        r0 = 0
+        while r0 < n_train:
+            # rows r0:r1 from the diagonal on; the entries left of the
+            # diagonal are mirrored from earlier blocks, and this block's
+            # columns below r1 are no longer read from the Gram
+            r1 = min(n_train, r0 + max(1, _BLOCK_ENTRIES // (n_all - r0)))
+            block = out[r0:r1, r0:]
+            interp(gram[r0:r1, r0:], block)
+            # a general matrix product need not give a bitwise symmetric Gram
+            square = block[:, : r1 - r0]
+            lower = np.tril_indices(r1 - r0, -1)
+            square[lower] = square.T[lower]
+            np.fill_diagonal(square, qs[layer])
+            out[r1:n_train, r0:r1] = block[:, r1 - r0: n_train - r0].T
+            r0 = r1
+        yield KernelMatrix(out, n_train, np.full(n_all - n_train, qs[layer]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,

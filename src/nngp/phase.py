@@ -8,8 +8,8 @@ the critical line where the depth scale xi = -1/log(chi1) diverges, and
 predictive performance concentrates near that line. c* = 1 (ordered) exactly
 when the map's slope at c = 1 is below 1 (Schoenholz et al. 2017).
 
-ReLU always uses its exact closed-form maps (written here on Python floats,
-since the critical line iterates them ~1e5 times), with or without a table:
+ReLU always uses its exact closed-form maps (the variance fixed point in
+closed form, the correlation map on Python floats), with or without a table:
 its table truncates the pre-activation range, which at large q falls short
 of F(q, q) = q/2 and can fake a fixed point where the variance diverges.
 Every other phi needs a lookup table, and its maps go through the kernel's
@@ -84,20 +84,26 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
 
     Divergence -- q escaping the tabulated range (the closed form's ceiling
     is 1e6), or monotone growth through the iteration cap -- is a labeled
-    outcome, not an error.
+    outcome, not an error. ReLU's map q <- sb2 + sw2 q / 2 is affine, so its
+    fixed point is sb2 / (1 - sw2 / 2) for sw2 < 2 and diverges above; at
+    (2, 0) every q is fixed and the starting q0 = 2 is returned.
     """
+    sw2, sb2 = hp.sigma_w2, hp.sigma_b2
     if _closed_form(hp, table):
-        step, ceiling = (lambda q: hp.sigma_b2 + hp.sigma_w2 * q / 2.0), _Q_DIVERGENCE
-    else:
-        step, ceiling = (lambda q: _layer_map(q, q, hp, table, 1)), table.grid.s_max
+        if sw2 == 2.0 and sb2 == 0.0:
+            return 2.0
+        if sw2 >= 2.0:
+            return math.inf
+        q = sb2 / (1.0 - sw2 / 2.0)
+        return math.inf if q > _Q_DIVERGENCE else q
 
-    q = hp.sigma_b2 + hp.sigma_w2
-    if q > ceiling:
+    q = sb2 + sw2
+    if q > table.grid.s_max:
         return math.inf
     grew = True
     for _ in range(_Q_MAX_ITERS):
-        q_next = step(q)
-        if q_next > ceiling:
+        q_next = _layer_map(q, q, hp, table, 1)
+        if q_next > table.grid.s_max:
             return math.inf
         delta = q_next - q
         grew = grew and delta > 0.0
@@ -255,12 +261,14 @@ class HeatmapSweep:
     """Validation accuracy per (sigma_w^2, sigma_b^2) cell.
 
     cells[i, j] corresponds to (sw2_grid[i], sb2_grid[j]); failed cells are
-    nan and the sweep keeps going.
+    nan, failures[i, j] gives the reason as "ExceptionType: message", and the
+    sweep keeps going.
     """
 
     sw2_grid: np.ndarray
     sb2_grid: np.ndarray
     cells: np.ndarray
+    failures: dict[tuple[int, int], str]
 
     def argmax(self) -> tuple[float, float, float]:
         """(sw2, sb2, accuracy) of the best populated cell."""
@@ -279,7 +287,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
 
     Accuracy is measured on the validation split; one lookup table is shared
     across all cells. Per-cell failures (variance escaping the table,
-    factorization breakdown) leave nan cells.
+    factorization breakdown) leave nan cells and record their reason.
     """
     sw2_grid = np.asarray(sw2_grid, float)
     sb2_grid = np.asarray(sb2_grid, float)
@@ -288,6 +296,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
     x_train, t_train = dataset.train_inputs, dataset.train_targets
     x_valid, t_valid = dataset.valid_inputs, dataset.valid_targets
     cells = np.full((sw2_grid.size, sb2_grid.size), math.nan)
+    failures = {}
     for i, sw2 in enumerate(sw2_grid):
         for j, sb2 in enumerate(sb2_grid):
             hp = NetworkHyperparams(depth=depth, sigma_w2=float(sw2),
@@ -296,6 +305,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
                 k = build_kernel_matrix(x_train, hp, table, x_valid)
                 pred = posterior(k, t_train, hp)
                 cells[i, j] = evaluate(pred, t_valid)["accuracy"]
-            except (ArithmeticError, ValueError):
-                continue
-    return HeatmapSweep(sw2_grid=sw2_grid, sb2_grid=sb2_grid, cells=cells)
+            except (ArithmeticError, ValueError) as exc:
+                failures[i, j] = f"{type(exc).__name__}: {exc}"
+    return HeatmapSweep(sw2_grid=sw2_grid, sb2_grid=sb2_grid, cells=cells,
+                        failures=failures)

@@ -127,3 +127,27 @@ def arccos_kernel(x_train: np.ndarray, x_test: np.ndarray, hp):
     n_train = x_train.shape[0]
     return KernelMatrix(np.ascontiguousarray(k[:n_train]), n_train,
                         np.diag(k)[n_train:].copy(), hp.depth)
+
+
+def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
+    """[K_DD | K_D,test] at a layer (default depth) read off by np.interp.
+
+    The composition is the kernel's own (``_compose`` over the transfer
+    cosines); every Gram entry is then interpolated by np.interp's binary
+    search, the train triangle is mirrored from above the diagonal and the
+    diagonal set to q_l. No buckets, no row blocks.
+    """
+    from nngp.kernel import _TRANSFER_COSINES, _compose
+
+    layer = hp.depth if layer is None else layer
+    x_all = x_train if x_test is None else np.vstack([x_train, x_test])
+    n_train, d_in = x_train.shape[0], x_all.shape[1]
+    rho = float(np.einsum("ij,ij->i", x_all, x_all).mean()) / d_in
+    rows, qs = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES,
+                        hp.sigma_b2 + hp.sigma_w2 * rho, hp, table)
+    k = np.interp(x_train @ x_all.T, rho * d_in * _TRANSFER_COSINES, rows[layer])
+    kdd = k[:, :n_train]
+    lower = np.tril_indices(n_train, -1)
+    kdd[lower] = kdd.T[lower]
+    np.fill_diagonal(kdd, qs[layer])
+    return k

@@ -138,7 +138,7 @@ def test_verify_json(tmp_path):
     assert len(payload["excess_kurtosis"]) == 3
 
 
-def test_sweep_csv(tmp_path):
+def write_sweep_config(tmp_path):
     cfg = {
         "dataset": {"format": "synthetic", "d_out": 4,
                     "synthetic": {"n": 160, "d_in": 8, "separation": 2.0,
@@ -147,14 +147,33 @@ def test_sweep_csv(tmp_path):
     }
     cfg_path = tmp_path / "data.json"
     cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    rc = run_cli("sweep", "--dataset", str(cfg_path), "--phi", "tanh",
+    rc = run_cli("sweep", "--dataset", str(write_sweep_config(tmp_path)), "--phi", "tanh",
                  "--depth", "2", "--cells", "2", *small_grid_args(),
                  "--out", str(out))
     assert rc == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["sw2", "sb2", "accuracy"]
     assert len(rows) == 5
+
+
+def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
+    # relu at sw2 = 5 grows the variance 2.5x a layer, past s_max = 16
+    out = tmp_path / "sweep.csv"
+    rc = run_cli("sweep", "--dataset", str(write_sweep_config(tmp_path)), "--phi", "relu",
+                 "--depth", "6", "--cells", "2", *small_grid_args(),
+                 "--out", str(out))
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("2 of 4 cells failed; first at sw2=5.000 sb2=0.000: "
+                                   "TableRangeError: layer ")
+    assert "failed" not in captured.out
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [r[2] for r in rows[3:]] == ["nan", "nan"]
 
 
 # the 100-column small table leaves one variance at -4.5e-6 before clamping;

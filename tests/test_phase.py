@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def hp(phi, sw2, sb2, depth=1):
 def test_relu_fixed_point_closed_form():
     # q* = sb2 / (1 - sw2/2) below the divergence boundary
     assert variance_fixed_point(hp("relu", 1.9, 0.1)) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("sw2,q_star", [(1.998, 500.0), (1.9999, 1e4)])
+def test_relu_fixed_point_near_boundary_is_bounded(sw2, q_star):
+    # the affine map converges too slowly to iterate here; q* stays below 1e6
+    d = diagnose(hp("relu", sw2, 0.5))
+    assert d.phase == "bounded"
+    assert d.q_star == pytest.approx(q_star, rel=1e-12)
 
 
 def test_relu_divergence_at_boundary():
@@ -280,6 +289,9 @@ def test_sweep_records_failed_cells_and_continues(blob_dataset, small_relu_table
                           sb2_grid=np.array([0.1]), table=small_relu_table)
     assert np.isfinite(sweep.cells[0, 0])
     assert math.isnan(sweep.cells[1, 0])
+    assert list(sweep.failures) == [(1, 0)]
+    assert re.fullmatch(r"TableRangeError: layer \d+: .* exceeds s_max = 16\.0.*",
+                        sweep.failures[1, 0])
 
 
 def test_deep_degenerate_kernels_reach_chance(blob_dataset, relu_table, tanh_table):
