@@ -17,7 +17,7 @@ import numpy as np
 from . import lookup
 from .data import DataFormatError, load_csv, preprocess
 from .experiment import RunConfig, _write_predictions, build_dataset, run_experiment
-from .finite_width import gaussianity_check, sample_empirical_kernel
+from .finite_width import _normality, _sample
 from .kernel import DEFAULT_NOISE, NetworkHyperparams, angular_profile, build_kernel_matrix
 from .phase import diagnose, heatmap_sweep, variance_grid
 from .regression import calibration_bins, evaluate, posterior
@@ -146,9 +146,10 @@ def cmd_verify(args) -> int:
                             phi=args.phi)
     table = lookup.load_or_build(args.phi, _grid_from_args(args))
     k = build_kernel_matrix(pts, hp, table)
-    sample = sample_empirical_kernel(pts, hp, (args.width,) * args.depth,
-                                     args.networks, args.seed)
-    stats = gaussianity_check(pts, hp, args.width, args.networks, args.seed)
+    # one pass gives both sample_empirical_kernel and gaussianity_check
+    sample, moments = _sample(pts, hp, (args.width,) * args.depth, args.networks,
+                              args.seed, units=1)
+    stats = _normality(moments)
     dev = np.abs(sample.empirical_k - k.kdd)
     out = {
         "theoretical": k.kdd.tolist(),

@@ -10,18 +10,30 @@ Gaussian with covariance sigma_w^2 (h h^T / N) + sigma_b^2 11^T across
 points, independent across units. For Gaussian parameters this holds at any
 finite width, so the sampled joint law of the outputs is identical to
 materializing every weight matrix, at a fraction of the random-number cost.
-Everything is deterministic given (seed, widths, n_networks): batches draw
-from child generators spawned from the seed.
+The networks are split into near-equal batches. Each batch array holds at
+most _BATCH_VALUE_BUDGET values (networks x points x widest layer, output
+units included), and each batch draws from its own child generator spawned
+from the seed. The batches run on a thread pool with one worker per
+available core, at most one batch per worker in flight; numpy's random
+fills, tanh, matmul and eigh release the interpreter lock, so they overlap.
+The plan depends only on (n_networks, n_points, widths, units), never on the
+core count, and the main thread adds the batches' partial sums in batch
+order, so everything is deterministic given (seed, widths, n_networks) and
+bit-identical on any number of cores.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .kernel import NetworkHyperparams, _common_squared_norm
-from .activations import get_activation
+from .activations import Activation, get_activation
 
 _JACKKNIFE_SHARDS = 10
 _BATCH_VALUE_BUDGET = 3_000_000
@@ -52,16 +64,57 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _batch_plan(n_networks: int, max_width: int) -> list[int]:
-    size = max(1, min(n_networks, _BATCH_VALUE_BUDGET // max(max_width, 1)))
-    full, rem = divmod(n_networks, size)
-    return [size] * full + ([rem] if rem else [])
+def _batch_plan(n_networks: int, n_points: int, max_width: int) -> list[int]:
+    """Near-equal batch sizes whose n_points x max_width values fit the budget."""
+    cap = max(1, _BATCH_VALUE_BUDGET // (n_points * max_width))
+    n_batches = -(-n_networks // cap)
+    base, rem = divmod(n_networks, n_batches)
+    return [base + 1] * rem + [base] * (n_batches - rem)
 
 
-def _iter_output_batches(points: np.ndarray, hp: NetworkHyperparams,
-                         widths: tuple[int, ...], n_networks: int, seed: int,
-                         units: int):
-    """Yield (start_index, outputs (B, n_points, units)) batches."""
+def _batch_sums(l0: np.ndarray, hp: NetworkHyperparams, act: Activation,
+                widths: tuple[int, ...], units: int, shard_ids: np.ndarray, n_shards: int,
+                stream: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one batch of networks and reduce its outputs.
+
+    Returns the output-product sums per jackknife shard, (n_shards, n, n),
+    and the first four raw power sums of output unit 0, (4, n).
+    """
+    rng = np.random.default_rng(stream)
+    batch, n = shard_ids.size, l0.shape[0]
+    z = l0 @ rng.standard_normal((batch, n, widths[0]))
+    for layer in range(1, hp.depth + 1):
+        # drop each layer's arrays as soon as they are used: at most two
+        # batch-sized arrays are alive at once
+        h = act.fn(z)
+        del z
+        with np.errstate(over="ignore"):
+            cov = hp.sigma_w2 * (h @ h.swapaxes(1, 2) / widths[layer - 1]) + hp.sigma_b2
+        del h
+        if not np.all(np.isfinite(cov)):
+            raise ArithmeticError(
+                f"layer {layer}: non-finite activations (exploding variance)"
+            )
+        width_out = widths[layer] if layer < hp.depth else units
+        z = _psd_factor(cov) @ rng.standard_normal((batch, n, width_out))
+
+    grams = z @ z.swapaxes(1, 2) / units
+    shard_sums = np.zeros((n_shards, n, n))
+    for shard in np.unique(shard_ids):
+        shard_sums[shard] = grams[shard_ids == shard].sum(axis=0)
+    out = z[:, :, 0]
+    power_sums = np.stack([(out ** p).sum(axis=0) for p in range(1, 5)])
+    return shard_sums, power_sums
+
+
+def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
+            n_networks: int, seed: int,
+            units: int) -> tuple[FiniteNetSample, np.ndarray]:
+    """One pass over n_networks random networks.
+
+    Returns the empirical kernel with its jackknife standard errors, and the
+    raw moments E[f^p], p = 1..4, of output unit 0 at every point, (4, n).
+    """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"points must be (n, d_in), got shape {x.shape}")
@@ -74,32 +127,60 @@ def _iter_output_batches(points: np.ndarray, hp: NetworkHyperparams,
         raise ValueError(f"n_networks must be >= 1, got {n_networks}")
     act = get_activation(hp.phi)
     n, d_in = x.shape
+    l0 = _psd_factor(hp.sigma_w2 * (x @ x.T / d_in) + hp.sigma_b2)
 
-    k0 = x @ x.T / d_in
-    ones = np.ones((n, n))
-    l0 = _psd_factor(hp.sigma_w2 * k0 + hp.sigma_b2 * ones)
-
-    plan = _batch_plan(n_networks, max(widths))
+    n_shards = min(_JACKKNIFE_SHARDS, n_networks)
+    shard_of = np.arange(n_networks) * n_shards // n_networks
+    plan = _batch_plan(n_networks, n, max(widths + (units,)))
     streams = np.random.SeedSequence(seed).spawn(len(plan))
-    start = 0
-    for batch, ss in zip(plan, streams):
-        rng = np.random.default_rng(ss)
-        z = np.einsum("pq,bqj->bpj", l0, rng.standard_normal((batch, n, widths[0])))
-        for layer in range(1, hp.depth + 1):
-            h = act.fn(z)
-            fan_in = widths[layer - 1]
-            with np.errstate(over="ignore"):
-                k_emp = np.einsum("bpn,bqn->bpq", h, h) / fan_in
-                cov = hp.sigma_w2 * k_emp + hp.sigma_b2 * ones
-            if not np.all(np.isfinite(cov)):
-                raise ArithmeticError(
-                    f"layer {layer}: non-finite activations (exploding variance)"
-                )
-            width_out = widths[layer] if layer < hp.depth else units
-            eps = rng.standard_normal((batch, n, width_out))
-            z = _psd_factor(cov) @ eps
-        yield start, z
-        start += batch
+
+    # up to one batch in flight per core; the main thread adds the partial
+    # sums in batch order, so the result does not depend on the core count
+    workers = len(os.sched_getaffinity(0))
+    shard_sums = np.zeros((n_shards, n, n))
+    power_sums = np.zeros((4, n))
+    pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(shard_ids, stream):
+        return pool.submit(_batch_sums, l0, hp, act, widths, units, shard_ids,
+                           n_shards, stream)
+
+    batches = zip(np.split(shard_of, np.cumsum(plan)[:-1]), streams)
+    try:
+        pending = deque(submit(*b) for b in islice(batches, workers))
+        while pending:
+            shards, powers = pending.popleft().result()
+            pending.extend(submit(*b) for b in islice(batches, 1))
+            shard_sums += shards
+            power_sums += powers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    total = shard_sums.sum(axis=0)
+    empirical = total / n_networks
+    if n_shards > 1:
+        shard_counts = np.bincount(shard_of, minlength=n_shards)
+        loo = (total[None] - shard_sums) / (n_networks - shard_counts)[:, None, None]
+        center = loo.mean(axis=0)
+        stderr = np.sqrt((n_shards - 1) / n_shards
+                         * ((loo - center) ** 2).sum(axis=0))
+    else:
+        stderr = np.full((n, n), np.nan)
+    sample = FiniteNetSample(widths=widths, n_networks=n_networks, seed=seed,
+                             empirical_k=empirical, stderr=stderr)
+    return sample, power_sums / n_networks
+
+
+def _normality(moments: np.ndarray) -> NormalityStats:
+    """Skewness and excess kurtosis from the raw moments E[f^p], p = 1..4."""
+    m1, m2, m3, m4 = moments
+    c2 = m2 - m1 ** 2
+    c3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
+    c4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
+    return NormalityStats(
+        skewness=c3 / c2 ** 1.5,
+        excess_kurtosis=c4 / c2 ** 2 - 3.0,
+    )
 
 
 def sample_empirical_kernel(points: np.ndarray, hp: NetworkHyperparams,
@@ -113,30 +194,7 @@ def sample_empirical_kernel(points: np.ndarray, hp: NetworkHyperparams,
     shards of the network sample.
     """
     widths = tuple(int(w) for w in np.atleast_1d(widths))
-    n = np.asarray(points).shape[0]
-    n_shards = min(_JACKKNIFE_SHARDS, n_networks)
-    shard_sums = np.zeros((n_shards, n, n))
-    shard_counts = np.zeros(n_shards, dtype=np.int64)
-    for start, z in _iter_output_batches(points, hp, widths, n_networks, seed,
-                                         units=average_units):
-        grams = np.einsum("bpu,bqu->bpq", z, z) / average_units
-        ids = (np.arange(start, start + z.shape[0]) * n_shards) // n_networks
-        for shard in np.unique(ids):
-            sel = ids == shard
-            shard_sums[shard] += grams[sel].sum(axis=0)
-            shard_counts[shard] += int(sel.sum())
-
-    total = shard_sums.sum(axis=0)
-    empirical = total / n_networks
-    if n_shards > 1:
-        loo = (total[None] - shard_sums) / (n_networks - shard_counts)[:, None, None]
-        center = loo.mean(axis=0)
-        stderr = np.sqrt((n_shards - 1) / n_shards
-                         * ((loo - center) ** 2).sum(axis=0))
-    else:
-        stderr = np.full((n, n), np.nan)
-    return FiniteNetSample(widths=widths, n_networks=n_networks, seed=seed,
-                           empirical_k=empirical, stderr=stderr)
+    return _sample(points, hp, widths, n_networks, seed, units=average_units)[0]
 
 
 def gaussianity_check(points: np.ndarray, hp: NetworkHyperparams, width: int,
@@ -147,17 +205,4 @@ def gaussianity_check(points: np.ndarray, hp: NetworkHyperparams, width: int,
     the last-layer sum); a width-1 network is visibly non-Gaussian.
     """
     widths = (int(width),) * hp.depth
-    n = np.asarray(points).shape[0]
-    raw = np.zeros((4, n))
-    for _, z in _iter_output_batches(points, hp, widths, n_networks, seed, units=1):
-        out = z[:, :, 0]
-        for p in range(4):
-            raw[p] += (out ** (p + 1)).sum(axis=0)
-    m1, m2, m3, m4 = raw / n_networks
-    c2 = m2 - m1 ** 2
-    c3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
-    c4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
-    return NormalityStats(
-        skewness=c3 / c2 ** 1.5,
-        excess_kurtosis=c4 / c2 ** 2 - 3.0,
-    )
+    return _normality(_sample(points, hp, widths, n_networks, seed, units=1)[1])

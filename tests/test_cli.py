@@ -138,6 +138,54 @@ def test_verify_json(tmp_path):
     assert len(payload["excess_kurtosis"]) == 3
 
 
+def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
+    from nngp import (NetworkHyperparams, build_kernel_matrix, finite_width,
+                      gaussianity_check, load_or_build, sample_empirical_kernel)
+    from nngp.lookup import build_grid
+
+    batches = []
+    batch_sums = finite_width._batch_sums
+
+    def counted(*args):
+        batches.append(args[-1])
+        return batch_sums(*args)
+
+    monkeypatch.setattr(finite_width, "_batch_sums", counted)
+    out = tmp_path / "verify.json"
+    rc = run_cli("verify", "--phi", "tanh", "--depth", "2", "--sw2", "1.2",
+                 "--sb2", "0.2", *small_grid_args(), "--width", "512",
+                 "--networks", "3000", "--seed", "4", "--points", "3",
+                 "--out", str(out))
+    assert rc == 0
+    plan = finite_width._batch_plan(3000, 3, 512)
+    assert len(plan) > 1 and len(batches) == len(plan)
+
+    # the JSON that separate sample_empirical_kernel and gaussianity_check
+    # calls give, on the points cmd_verify draws
+    monkeypatch.setattr(finite_width, "_batch_sums", batch_sums)
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((3, 16))
+    pts *= np.sqrt(16 / np.einsum("ij,ij->i", pts, pts))[:, None]
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.2, sigma_b2=0.2, phi="tanh")
+    k = build_kernel_matrix(pts, hp, load_or_build("tanh", build_grid(201, 81, 100, 16.0, 16.0)))
+    sample = sample_empirical_kernel(pts, hp, (512, 512), 3000, 4)
+    stats = gaussianity_check(pts, hp, 512, 3000, 4)
+    dev = np.abs(sample.empirical_k - k.kdd)
+    expected = {
+        "theoretical": k.kdd.tolist(),
+        "empirical": sample.empirical_k.tolist(),
+        "stderr": sample.stderr.tolist(),
+        "max_abs_deviation": float(dev.max()),
+        "max_deviation_in_stderr": float((dev / sample.stderr).max()),
+        "skewness": stats.skewness.tolist(),
+        "excess_kurtosis": stats.excess_kurtosis.tolist(),
+        "width": 512,
+        "n_networks": 3000,
+        "seed": 4,
+    }
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True)
+
+
 def write_sweep_config(tmp_path):
     cfg = {
         "dataset": {"format": "synthetic", "d_out": 4,

@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from nngp import (
     gaussianity_check,
     sample_empirical_kernel,
 )
+from nngp import finite_width
 
 from .conftest import MC_SEEDS, MC_WIDTHS, constant_norm_points
 
@@ -75,6 +80,78 @@ def test_exploding_activations_name_the_layer():
     hp = NetworkHyperparams(depth=3, sigma_w2=1e200, sigma_b2=0.0, phi="relu")
     with pytest.raises(ArithmeticError, match="layer"):
         sample_empirical_kernel(pts, hp, (8, 8, 8), 10, seed=0)
+
+
+def _pin_cores(monkeypatch, n_cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cores)))
+
+
+def test_failing_batch_stops_the_run(monkeypatch):
+    # four batches of 500 on two workers: the first batch's error reaches the
+    # caller, the batches never started stay unrun and no worker outlives the call
+    pts = constant_norm_points(5, 16, seed=9)
+    hp = NetworkHyperparams(depth=2, sigma_w2=1e200, sigma_b2=0.0, phi="relu")
+    assert finite_width._batch_plan(2000, 5, 1024) == [500] * 4
+    _pin_cores(monkeypatch, 2)
+    started = []
+    batch_sums = finite_width._batch_sums
+
+    def counted(*args):
+        started.append(args[-1])
+        return batch_sums(*args)
+
+    monkeypatch.setattr(finite_width, "_batch_sums", counted)
+    threads_before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="layer 1"):
+        sample_empirical_kernel(pts, hp, (1024, 1024), 2000, seed=0)
+    assert 1 <= len(started) <= 2
+    assert threading.active_count() == threads_before
+
+
+def test_result_independent_of_core_count(monkeypatch):
+    # the batch plan and the reduction order do not depend on the worker
+    # count, also with more workers than batches
+    pts = constant_norm_points(5, 16, seed=21)
+    hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    assert len(finite_width._batch_plan(2000, 5, 1024)) == 4
+
+    def run(n_cores):
+        _pin_cores(monkeypatch, n_cores)
+        sample = sample_empirical_kernel(pts, hp, (1024,) * 3, 2000, seed=3)
+        stats = gaussianity_check(pts, hp, 1024, 2000, seed=3)
+        return sample.empirical_k, sample.stderr, stats.skewness, stats.excess_kurtosis
+
+    one_core = run(1)
+    for n_cores in (2, 5):
+        for a, b in zip(one_core, run(n_cores)):
+            assert np.array_equal(a, b)
+
+
+def test_batch_plan_bounds_peak_memory(monkeypatch):
+    # 3000 networks x 20 points x width 256 is 15.4M values, split into six
+    # batches of 500; with two workers at most two batches, each holding
+    # about two batch-sized arrays, are alive at once
+    pts = constant_norm_points(20, 8, seed=22)
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.5, sigma_b2=0.1, phi="relu")
+    _pin_cores(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        sample_empirical_kernel(pts, hp, (256, 256), 3000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 * finite_width._BATCH_VALUE_BUDGET * 8
+
+
+def test_batch_plan_splits_evenly_within_budget():
+    budget = finite_width._BATCH_VALUE_BUDGET
+    for n_networks, n_points, width in [(2000, 5, 1024), (3000, 20, 256), (7, 3, 8),
+                                        (100_000, 5, 256), (5, 2, 10**7)]:
+        plan = finite_width._batch_plan(n_networks, n_points, width)
+        assert sum(plan) == n_networks
+        assert max(plan) - min(plan) <= 1
+        assert max(plan) == 1 or max(plan) * n_points * width <= budget
+    assert finite_width._batch_plan(2000, 5, 1024) == [500] * 4
 
 
 def test_average_units_reduces_scatter(tanh_table):
