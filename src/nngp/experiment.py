@@ -10,6 +10,7 @@ across runs of the same config.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import time
@@ -21,8 +22,7 @@ import numpy as np
 from . import data as data_mod
 from .data import Dataset, preprocess
 from .kernel import DEFAULT_NOISE, NetworkHyperparams, build_kernel_matrix
-from .lookup import (DEFAULT_N_C, DEFAULT_N_G, DEFAULT_N_V, DEFAULT_S_MAX, build_grid,
-                     load_or_build)
+from .lookup import build_grid, load_or_build
 from .regression import evaluate, posterior
 
 REPORT_SCHEMA_VERSION = 1
@@ -104,6 +104,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
+        known = inspect.signature(build_grid).parameters
+        unknown = sorted(set(self.grid) - set(known))
+        if unknown:
+            raise ValueError(f"unknown grid keys {', '.join(unknown)}; "
+                             f"known keys: {', '.join(known)}")
         for key, value in self.dataset_paths.items():
             paths = value if isinstance(value, list) else [value]
             for p in paths:
@@ -181,10 +186,7 @@ def run_experiment(config: RunConfig) -> dict:
     dataset = build_dataset(config)
     timings["load_preprocess"] = time.perf_counter() - t0
 
-    g = config.grid
-    grid = build_grid(g.get("n_g", DEFAULT_N_G), g.get("n_v", DEFAULT_N_V),
-                      g.get("n_c", DEFAULT_N_C), g.get("u_max"),
-                      g.get("s_max", DEFAULT_S_MAX))
+    grid = build_grid(**config.grid)
     t0 = time.perf_counter()
     table = load_or_build(config.phi, grid)
     timings["table"] = time.perf_counter() - t0

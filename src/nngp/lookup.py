@@ -91,8 +91,8 @@ class QuadratureGrid:
         return self.c.size
 
 
-def build_grid(n_g: int, n_v: int, n_c: int, u_max: float | None = None,
-               s_max: float = DEFAULT_S_MAX) -> QuadratureGrid:
+def build_grid(n_g: int = DEFAULT_N_G, n_v: int = DEFAULT_N_V, n_c: int = DEFAULT_N_C,
+               u_max: float | None = None, s_max: float = DEFAULT_S_MAX) -> QuadratureGrid:
     """Construct the linearly spaced (u, s, c) grids.
 
     ``u_max=None`` means sqrt(2 s_max): s_max < u_max^2 must hold, and this
@@ -120,7 +120,7 @@ def build_grid(n_g: int, n_v: int, n_c: int, u_max: float | None = None,
 
 
 def default_grid() -> QuadratureGrid:
-    return build_grid(DEFAULT_N_G, DEFAULT_N_V, DEFAULT_N_C)
+    return build_grid()
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ the critical line where the depth scale xi = -1/log(chi1) diverges, and
 predictive performance concentrates near that line. c* = 1 (ordered) exactly
 when the map's slope at c = 1 is below 1 (Schoenholz et al. 2017).
 
-ReLU always uses its exact closed-form maps (the variance fixed point in
-closed form, the correlation map on Python floats), with or without a table:
-its table truncates the pre-activation range, which at large q falls short
-of F(q, q) = q/2 and can fake a fixed point where the variance diverges.
-Every other phi needs a lookup table, and its maps go through the kernel's
-layer step ``kernel._layer_map``. Below the table's variance resolution
-the correlation map is replaced by its exact small-variance linearization
-around c = 1.
+ReLU always uses its closed forms, with or without a table: the variance
+fixed point of its affine variance map, and c* = 1 with chi1 = sw2 / 2, the
+slope of the arccosine map at c = 1. Its table truncates the pre-activation
+range, which at large q falls short of F(q, q) = q/2 and can fake a fixed
+point where the variance diverges. Every other phi needs a lookup table,
+and its maps go through the kernel's layer step ``kernel._layer_map``. At
+fixed q* that map is exactly linear in c between the table's c nodes (below
+the table's variance resolution it is replaced by its exact small-variance
+linearization around c = 1, also linear), so c* and chi1 are read off its
+values at the nodes: no iteration and no finite difference.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .regression import evaluate, posterior
 _Q_TOL = 1e-10
 _Q_MAX_ITERS = 10_000
 _Q_DIVERGENCE = 1e6
-_C_TOL = 1e-12
-_C_MAX_ITERS = 10_000
-_FD_STEP = 1e-5
 _CRITICAL_BAND = 1e-4
 _CRITICAL_BRACKET = (1e-3, 10.0)
 _CRITICAL_TOL = 1e-6
@@ -115,67 +114,54 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
     return float(q)
 
 
-def _correlation_map(hp: NetworkHyperparams, table: LookupTable | None, q_star: float):
-    """Return the correlation map R(c) at q*, or None.
+def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
+    """Nodes c and values R(c) of a table phi's correlation map at a finite q*.
 
-    None means q* diverged past the table, where no correlation map exists;
-    the closed-form ReLU map is q*-free in that limit.
+    R is exactly linear between the nodes: at fixed q* the table is
+    interpolated linearly in c between ``table.c_nodes``, and so is the
+    small-variance linearization used below the first variance row. The
+    node 0.5, where the fixed-point iteration starts, splits one segment.
+    """
+    if q_star < float(table.grid.s[1]):
+        c = np.array([-1.0, 0.5, 1.0])
+        return c, 1.0 - hp.sigma_w2 * table.activation.derivative_at_zero() ** 2 * (1.0 - c)
+    c = np.union1d(table.c_nodes, 0.5)
+    return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star
+
+
+def _fixed_point_stats(hp: NetworkHyperparams, table: LookupTable | None,
+                       q_star: float) -> tuple[float, float, float] | None:
+    """(c*, chi1, xi), or None where q* diverged past the table.
+
+    ReLU's map stays above the diagonal below c = 1 at finite q* and is
+    q*-free at q* = 0 or inf, so c* = 1 and chi1 is its slope there, sw2 / 2.
     """
     if _closed_form(hp, table):
-        sw2, sb2 = hp.sigma_w2, hp.sigma_b2
-
-        def r(c):
-            c = min(max(c, -1.0), 1.0)
-            theta = math.acos(c)
-            f = (1.0 / (2.0 * math.pi)) * (math.sin(theta) + (math.pi - theta) * c)
-            if math.isinf(q_star) or q_star <= 0.0:
-                return sw2 * f
-            return (sb2 + sw2 * q_star * f) / q_star
-        return r
-
-    if math.isinf(q_star):
+        c_star, chi1 = 1.0, hp.sigma_w2 / 2.0
+    elif math.isinf(q_star):
         return None
-    if q_star < float(table.grid.s[1]):
-        slope = hp.sigma_w2 * table.activation.derivative_at_zero() ** 2
-
-        def r(c):
-            return 1.0 - slope * (1.0 - min(max(c, -1.0), 1.0))
-        return r
-
-    def r(c):
-        return _layer_map(q_star * min(max(c, -1.0), 1.0), q_star, hp, table, 1) / q_star
-    return r
-
-
-def _slope(r, c: float = 1.0 - _FD_STEP) -> float:
-    """Centered finite difference of the map r at c, step 1e-5; by default at c -> 1-."""
-    return float((r(c + _FD_STEP) - r(c - _FD_STEP)) / (2.0 * _FD_STEP))
-
-
-def _fixed_point_stats(hp: NetworkHyperparams, r) -> tuple[float, float, float]:
-    if hp.sigma_w2 == 0.0:
-        return 1.0, 0.0, 0.0
-
-    # c = 1 is a fixed point; when stable it is c*, reached without iterating
-    # (from 0.5 the iteration would converge to it only geometrically)
-    c_star, chi1 = 1.0, _slope(r)
-    if chi1 >= 1.0:
-        c = 0.5
-        for _ in range(_C_MAX_ITERS):
-            c, c_prev = min(max(r(c), -1.0), 1.0), c
-            if abs(c - c_prev) < _C_TOL:
-                break
-        c_star = float(c)
-        chi1 = _slope(r, min(c_star, 1.0 - _FD_STEP))
-    chi1 = max(chi1, 0.0)
-    if abs(chi1 - 1.0) < _CRITICAL_BAND:
-        xi = math.inf
-    elif chi1 == 0.0:
-        xi = 0.0
-    elif chi1 < 1.0:
-        xi = -1.0 / math.log(chi1)
     else:
+        c, r = _correlation_map(hp, table, q_star)
+        slopes = np.diff(r) / np.diff(c)
+        # c = 1 is a fixed point; when stable (slope at c -> 1- below 1) it is c*
+        c_star, chi1 = 1.0, float(slopes[-1])
+        if chi1 >= 1.0:
+            # iterating c <- clip(R(c)) from 0.5 moves monotonically (R increases)
+            # to the first fixed point on the side R(0.5) - 0.5 points to
+            g = np.clip(r, -1.0, 1.0) - c
+            half = int(np.flatnonzero(c == 0.5)[0])
+            if g[half] > 0.0:
+                k = half + int(np.flatnonzero(g[half + 1:] <= 0.0)[0])
+            else:
+                k = int(np.flatnonzero(g[:half + 1] >= 0.0)[-1])
+            # the root of g, which is linear and decreasing on segment k
+            c_star = float(np.interp(0.0, g[[k + 1, k]], c[[k + 1, k]]))
+            chi1 = float(slopes[k])
+    chi1 = max(chi1, 0.0)
+    if chi1 > 1.0 or abs(chi1 - 1.0) < _CRITICAL_BAND:
         xi = math.inf
+    else:
+        xi = 0.0 if chi1 == 0.0 else -1.0 / math.log(chi1)
     return c_star, chi1, xi
 
 
@@ -183,14 +169,17 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
                             q_star: float) -> tuple[float, float, float]:
     """(c*, chi1, xi) for the correlation map at a finite q*.
 
-    c* = 1 when the map's slope there (a step-1e-5 centered difference ending
-    at c = 1) is below 1, else the fixed point iterated from 0.5. chi1 is
-    that slope at c*; xi = -1/log(chi1), infinite within the critical band.
+    The map of a table phi is piecewise linear in c, so both are read off
+    its nodes: c* = 1 when the slope of the last segment (c -> 1-) is below
+    1; otherwise c* is the crossing that the iteration c <- R(c) from 0.5
+    converges to, solved within its segment, and chi1 is that segment's
+    slope. ReLU has c* = 1 and chi1 = sw2 / 2 exactly. xi = -1/log(chi1),
+    infinite within the critical band.
     """
-    r = _correlation_map(hp, table, q_star)
-    if r is None:
+    stats = _fixed_point_stats(hp, table, q_star)
+    if stats is None:
         raise ValueError("q* must be finite")
-    return _fixed_point_stats(hp, r)
+    return stats
 
 
 def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseDiagnostics:
@@ -200,11 +189,11 @@ def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseD
     stable fixed point), chaotic or unbounded.
     """
     q_star = variance_fixed_point(hp, table)
-    r = _correlation_map(hp, table, q_star)
-    if r is None:
+    stats = _fixed_point_stats(hp, table, q_star)
+    if stats is None:
         return PhaseDiagnostics(q_star=q_star, c_star=math.nan, chi1=math.nan,
                                 xi=math.nan, phase="unbounded")
-    c_star, chi1, xi = _fixed_point_stats(hp, r)
+    c_star, chi1, xi = stats
     if math.isinf(q_star):
         phase = "unbounded"
     elif hp.phi == "relu":
@@ -217,15 +206,21 @@ def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseD
 def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) -> float:
     """Stability of the unit-correlation fixed point at one (sw2, sb2).
 
-    This is the derivative of the correlation map at c -> 1-. c = 1 is
-    always a fixed point; its stability flips exactly on the critical line,
-    so this slope crosses 1 monotonically in sigma_w^2 (the slope at an
-    interior chaotic fixed point does not). It equals the chi1 reported by
-    diagnose() wherever c* = 1, and is nan where q* diverged past the table.
+    This is the slope of the correlation map at c -> 1-: sw2 / 2 for ReLU,
+    the last segment's slope for a table phi. c = 1 is always a fixed point;
+    its stability flips exactly on the critical line, so this slope crosses
+    1 monotonically in sigma_w^2 (the slope at an interior chaotic fixed
+    point does not). It equals the chi1 reported by diagnose() wherever
+    c* = 1, and is nan where q* diverged past the table.
     """
     hp = NetworkHyperparams(depth=1, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
-    r = _correlation_map(hp, table, variance_fixed_point(hp, table))
-    return math.nan if r is None else _slope(r)
+    if _closed_form(hp, table):
+        return sw2 / 2.0
+    q_star = variance_fixed_point(hp, table)
+    if math.isinf(q_star):
+        return math.nan
+    c, r = _correlation_map(hp, table, q_star)
+    return float((r[-1] - r[-2]) / (c[-1] - c[-2]))
 
 
 def critical_line(phi: str, sb2_grid: np.ndarray,

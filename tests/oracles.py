@@ -87,6 +87,43 @@ def tanh_chi1_gh(sw2: float, sb2: float) -> float:
     return sw2 * float(_gh_w @ (1.0 / np.cosh(z)) ** 4) / np.sqrt(np.pi)
 
 
+def iterated_correlation_fixed_point(hp, table, q_star: float) -> tuple[float, float]:
+    """(c*, chi1) of a table phi's correlation map by iteration and differences.
+
+    The map R(c) is evaluated point by point through the kernel's layer step
+    (below the table's first variance row, by its small-variance
+    linearization). chi1 at c -> 1- is a centered difference of step 1e-5
+    ending at c = 1; when it is below 1, c* = 1. Otherwise c <- clip(R(c))
+    is iterated from 0.5 until it moves less than 1e-12, and chi1 is the
+    centered difference at c* (at most 1 - 1e-5).
+    """
+    from nngp.kernel import _layer_map
+
+    step = 1e-5
+    if q_star < float(table.grid.s[1]):
+        lin = hp.sigma_w2 * table.activation.derivative_at_zero() ** 2
+
+        def r(c):
+            return 1.0 - lin * (1.0 - min(max(c, -1.0), 1.0))
+    else:
+        def r(c):
+            return _layer_map(q_star * min(max(c, -1.0), 1.0), q_star, hp, table, 1) / q_star
+
+    def slope(c):
+        return (r(c + step) - r(c - step)) / (2.0 * step)
+
+    c_star, chi1 = 1.0, slope(1.0 - step)
+    if chi1 >= 1.0:
+        c = 0.5
+        for _ in range(10_000):
+            c, c_prev = min(max(r(c), -1.0), 1.0), c
+            if abs(c - c_prev) < 1e-12:
+                break
+        c_star = c
+        chi1 = slope(min(c_star, 1.0 - step))
+    return c_star, max(chi1, 0.0)
+
+
 def per_entry_kernel(x_train: np.ndarray, x_test: np.ndarray, hp, table):
     """[K_DD | K_D,test] by the per-entry recursion, and the layer variance q_L.
 

@@ -91,6 +91,21 @@ def test_input_error_exits_as_usage_error(tmp_path, capsys, case, message):
     assert "Traceback" not in err
 
 
+def test_run_config_with_unknown_grid_key_exits_as_usage_error(tmp_path, capsys):
+    # "nc" is not a grid key (n_c is); it used to be ignored, building the
+    # default 500-column table
+    payload = {"dataset": {"format": "synthetic", "d_out": 4},
+               "grid": {"n_g": 201, "nc": 100, "s_max": 16.0, "u_max": 16.0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", str(cfg_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown grid keys nc;" in err
+    assert "Traceback" not in err
+
+
 def test_regress_end_to_end(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"

@@ -20,7 +20,8 @@ from nngp import (
 from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
-from .oracles import arccos_kernel, tanh_chi1_gh, tanh_qstar_gh
+from .oracles import (arccos_kernel, iterated_correlation_fixed_point, tanh_chi1_gh,
+                      tanh_qstar_gh)
 
 
 def hp(phi, sw2, sb2, depth=1):
@@ -66,11 +67,11 @@ def test_relu_keeps_closed_form_with_a_table(relu_table):
     h = hp("relu", 2.5, 0.3)
     d = diagnose(h, relu_table)
     assert d == diagnose(h)
-    assert d.phase == "unbounded" and d.chi1 == pytest.approx(1.25, rel=2e-3)
+    assert d.phase == "unbounded" and d.chi1 == 1.25
     assert chi1_at("relu", 2.5, 0.3, relu_table) == chi1_at("relu", 2.5, 0.3)
     line = critical_line("relu", np.array([0.5]), relu_table)
     assert line[0] == critical_line("relu", np.array([0.5]))[0]
-    assert line[0] == pytest.approx(2.0, abs=0.01)
+    assert line[0] == pytest.approx(2.0, abs=1e-5)
 
 
 def test_tanh_without_table_names_the_lookup_table():
@@ -114,9 +115,8 @@ def test_fixed_point_residual(tanh_table):
 # ---------------------------------------------------------------------------
 
 def test_relu_critical_point_unit_multiplier():
-    # chi1 at c -> 1- equals sw2/2 up to the sqrt-cusp bias of the pinned
-    # finite-difference step
-    assert chi1_at("relu", 2.0, 0.0) == pytest.approx(1.0, abs=2e-3)
+    # chi1 at c -> 1- is the arccosine map's slope there, sw2 / 2
+    assert chi1_at("relu", 2.0, 0.0) == 1.0
 
 
 def test_tanh_ordered_phase(tanh_table):
@@ -135,6 +135,58 @@ def test_ordered_chi1_equals_chi1_at(tanh_table, phi, sw2, sb2):
     d = diagnose(hp(phi, sw2, sb2), table)
     assert d.c_star == 1.0
     assert d.chi1 == chi1_at(phi, sw2, sb2, table)
+
+
+def test_layer_map_is_linear_between_c_nodes(tanh_table):
+    # the exact read of c* and chi1 rests on this: at fixed q the map is
+    # linear in c between adjacent nodes of the table's closed c axis
+    h, q, c = hp("tanh", 1.5, 0.3), 1.3, tanh_table.c_nodes
+    at_nodes = _layer_map(q * c, q, h, tanh_table, 1)
+    at_midpoints = _layer_map(q * 0.5 * (c[:-1] + c[1:]), q, h, tanh_table, 1)
+    np.testing.assert_allclose(at_midpoints, 0.5 * (at_nodes[:-1] + at_nodes[1:]),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_tanh_table_rows_increase_in_c(tanh_table):
+    # so is the correlation map at every q* above the first variance row
+    # (the s = 0 row is phi(0)^2 = 0; below s[1] the linearization is used);
+    # the smallest step, 2.7e-4, is the last one of the s = 0.2 row
+    rows = np.column_stack([-tanh_table.f1d, tanh_table.f2d, tanh_table.f1d])[1:]
+    assert np.diff(rows, axis=1).min() > 0.0
+
+
+def test_diagnose_matches_iterated_reference_on_sweep_grid(tanh_table):
+    # the 10 x 10 grid of the benchmark's phase sweep, against the fixed-point
+    # iteration and centered differences; chi1 differs only at the clipped
+    # end cell (see the next test)
+    from nngp.phase import SWEEP_SB2_GRID, SWEEP_SW2_GRID
+
+    differ = []
+    for sw2 in SWEEP_SW2_GRID[::3]:
+        for sb2 in SWEEP_SB2_GRID[::3]:
+            h = hp("tanh", float(sw2), float(sb2))
+            d = diagnose(h, tanh_table)
+            c_star, chi1 = iterated_correlation_fixed_point(h, tanh_table, d.q_star)
+            assert d.phase == ("ordered" if c_star == 1.0 else "chaotic")
+            assert d.c_star == pytest.approx(c_star, abs=1e-9)
+            if abs(d.chi1 - chi1) > 1e-8:
+                differ.append((float(sw2), float(sb2)))
+    assert differ == [(float(SWEEP_SW2_GRID[6]), 0.0)]
+
+
+def test_clipped_end_chi1_is_the_segment_slope(tanh_table):
+    # q* = 3.9e-10 is below the first variance row, so the map is the
+    # linearization 1 - chi1 (1 - c) with chi1 = sw2 phi'(0)^2 = 1.114, and
+    # the iteration from 0.5 is clipped at c* = -1. A centered difference
+    # there straddles the clipped end and reads half the slope
+    from nngp.phase import SWEEP_SW2_GRID
+
+    sw2 = float(SWEEP_SW2_GRID[6])
+    d = diagnose(hp("tanh", sw2, 0.0), tanh_table)
+    assert d.q_star < tanh_table.grid.s[1]
+    assert d.c_star == -1.0 and d.phase == "chaotic"
+    assert d.chi1 == pytest.approx(sw2, rel=1e-9)
+    assert math.isinf(d.xi)
 
 
 def test_tanh_chaotic_phase(tanh_table):
@@ -159,7 +211,7 @@ def test_diverged_diagnostics_for_relu():
     d = diagnose(hp("relu", 3.0, 0.5))
     assert d.diverged and d.phase == "unbounded"
     # the ReLU stability multiplier is q*-independent and stays defined
-    assert d.chi1 == pytest.approx(1.5, rel=2e-3)
+    assert d.chi1 == 1.5
 
 
 def test_relu_phase_label_bounded():
@@ -195,7 +247,7 @@ def test_default_sweep_grid_values():
 def test_relu_critical_line_constant_two():
     sb2_grid = np.linspace(0.0, 2.0, 30)
     line = critical_line("relu", sb2_grid)
-    np.testing.assert_allclose(line, 2.0, atol=0.01)
+    np.testing.assert_allclose(line, 2.0, atol=1e-5)
 
 
 def test_tanh_critical_line_at_zero_bias(tanh_table):
