@@ -7,49 +7,30 @@ benchmark rows at desk scale:
     1000 training digits, relu, depth 20,  (sw2, sb2) = (1.45, 0.28)
 
 Without the data it runs the same pipeline on synthetic 10-class blobs so
-the mechanics are still demonstrated end to end.
+the mechanics are still demonstrated end to end. Each row is one
+``run_experiment`` call, the pipeline behind ``nngp run``.
 """
 
-import numpy as np
-
-from nngp import (
-    NetworkHyperparams,
-    build_kernel_matrix,
-    evaluate,
-    find_mnist,
-    load_mnist_idx,
-    load_or_build,
-    posterior,
-    preprocess,
-    synthetic_blobs,
-)
+from nngp import RunConfig, find_mnist, run_experiment
 
 
-def run_row(ds, hp, table, label):
-    k = build_kernel_matrix(ds.train_inputs, hp, table, ds.test_inputs)
-    pred = posterior(k, ds.train_targets, hp)
-    m = evaluate(pred, ds.test_targets)
-    print(f"{label}: accuracy {m['accuracy']:.4f}  mse {m['mse']:.5f}  "
-          f"noise used {pred.noise_used:g}")
-    return m
+def run_row(config, label):
+    report = run_experiment(config)
+    print(f"{label}: accuracy {report['accuracy']:.4f}  mse {report['mse']:.5f}  "
+          f"noise used {report['noise_used']:g}")
 
 
 paths = find_mnist()
 if paths is not None:
-    x1, y1 = load_mnist_idx(paths["train_images"], paths["train_labels"])
-    x2, y2 = load_mnist_idx(paths["test_images"], paths["test_labels"])
-    ds = preprocess(np.vstack([x1, x2]), np.concatenate([y1, y2]), d_out=10,
-                    split_sizes=(50_000, 10_000, 10_000), seed=7)
-    run_row(ds.subset(100),
-            NetworkHyperparams(depth=100, sigma_w2=3.14, sigma_b2=0.97, phi="tanh"),
-            load_or_build("tanh"), "MNIST:100 tanh depth-100 (expect ~0.774)")
-    run_row(ds.subset(1000),
-            NetworkHyperparams(depth=20, sigma_w2=1.45, sigma_b2=0.28, phi="relu"),
-            load_or_build("relu"), "MNIST:1k relu depth-20 (expect ~0.928)")
+    # the 70k digits pooled and split 50k/10k/10k by seed 7, then the first n_train
+    mnist = dict(dataset_format="mnist", dataset_paths=paths, seed=7)
+    run_row(RunConfig(**mnist, n_train=100, depth=100, sigma_w2=3.14, sigma_b2=0.97,
+                      phi="tanh"), "MNIST:100 tanh depth-100 (expect ~0.774)")
+    run_row(RunConfig(**mnist, n_train=1000, depth=20, sigma_w2=1.45, sigma_b2=0.28,
+                      phi="relu"), "MNIST:1k relu depth-20 (expect ~0.928)")
 else:
     print("MNIST IDX files not found (set NNGP_DATA_DIR); using synthetic blobs")
-    x, y = synthetic_blobs(n=2000, d_in=30, n_classes=10, separation=1.0, seed=1)
-    ds = preprocess(x, y, d_out=10, split_sizes=(1000, 500, 500), seed=7)
-    run_row(ds,
-            NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.2, phi="tanh"),
-            load_or_build("tanh"), "blobs:1k tanh depth-3")
+    blobs = {"n": 2000, "d_in": 30, "separation": 1.0, "seed": 1,
+             "n_valid": 500, "n_test": 500}
+    run_row(RunConfig(dataset_format="synthetic", synthetic=blobs, seed=7, depth=3,
+                      sigma_w2=1.5, sigma_b2=0.2, phi="tanh"), "blobs:1k tanh depth-3")

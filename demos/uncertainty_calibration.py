@@ -16,13 +16,13 @@ import numpy as np
 from nngp import (
     KernelMatrix,
     NetworkHyperparams,
+    RunConfig,
+    build_dataset,
     build_kernel_matrix,
     calibration_bins,
     find_mnist,
-    load_mnist_idx,
     load_or_build,
     posterior,
-    preprocess,
     sample_prior,
 )
 
@@ -56,10 +56,8 @@ paths = find_mnist()
 if paths is None:
     print("MNIST not found (set NNGP_DATA_DIR); skipping the MNIST panel")
 else:
-    x1, y1 = load_mnist_idx(paths["train_images"], paths["train_labels"])
-    x2, y2 = load_mnist_idx(paths["test_images"], paths["test_labels"])
-    ds = preprocess(np.vstack([x1, x2]), np.concatenate([y1, y2]), d_out=10,
-                    split_sizes=(50_000, 10_000, 10_000), seed=7).subset(1000)
+    ds = build_dataset(RunConfig(dataset_format="mnist", dataset_paths=paths, seed=7,
+                                 n_train=1000))
     hp_m = NetworkHyperparams(depth=3, sigma_w2=2.0, sigma_b2=0.2, phi="relu")
     k = build_kernel_matrix(ds.train_inputs, hp_m, load_or_build("relu"),
                             ds.test_inputs)

@@ -17,7 +17,7 @@ import numpy as np
 from . import lookup
 from .data import DataFormatError, load_csv, preprocess
 from .experiment import RunConfig, _write_predictions, build_dataset, run_experiment
-from .finite_width import _normality, _sample
+from .finite_width import sample_empirical_kernel
 from .kernel import DEFAULT_NOISE, NetworkHyperparams, angular_profile, build_kernel_matrix
 from .phase import diagnose, heatmap_sweep, variance_grid
 from .regression import calibration_bins, evaluate, posterior
@@ -146,10 +146,8 @@ def cmd_verify(args) -> int:
                             phi=args.phi)
     table = lookup.load_or_build(args.phi, _grid_from_args(args))
     k = build_kernel_matrix(pts, hp, table)
-    # one pass gives both sample_empirical_kernel and gaussianity_check
-    sample, moments = _sample(pts, hp, (args.width,) * args.depth, args.networks,
-                              args.seed, units=1)
-    stats = _normality(moments)
+    sample = sample_empirical_kernel(pts, hp, (args.width,) * args.depth, args.networks,
+                                     args.seed)
     dev = np.abs(sample.empirical_k - k.kdd)
     out = {
         "theoretical": k.kdd.tolist(),
@@ -157,8 +155,8 @@ def cmd_verify(args) -> int:
         "stderr": sample.stderr.tolist(),
         "max_abs_deviation": float(dev.max()),
         "max_deviation_in_stderr": float((dev / sample.stderr).max()),
-        "skewness": stats.skewness.tolist(),
-        "excess_kurtosis": stats.excess_kurtosis.tolist(),
+        "skewness": sample.skewness.tolist(),
+        "excess_kurtosis": sample.excess_kurtosis.tolist(),
         "width": args.width,
         "n_networks": args.networks,
         "seed": args.seed,

@@ -2,7 +2,9 @@
 
 Random finite networks with Gaussian weights (variance sigma_w^2 / fan-in)
 and biases (variance sigma_b^2) are sampled and the empirical covariance of
-one output unit across networks is compared to the deterministic kernel.
+one output unit across networks is compared to the deterministic kernel;
+the skewness and kurtosis of that unit, from the same networks, show how
+close to Gaussian it is.
 
 Sampling marginalizes the weights exactly, layer by layer: conditioned on
 the previous layer's post-activations h, the next pre-activations are
@@ -41,19 +43,15 @@ _BATCH_VALUE_BUDGET = 3_000_000
 
 @dataclass(frozen=True)
 class FiniteNetSample:
-    """Empirical output covariance over a sample of finite-width networks."""
+    """One pass over a sample of finite-width networks.
 
-    widths: tuple[int, ...]
-    n_networks: int
-    seed: int
+    ``empirical_k`` is the mean output-product matrix and ``stderr`` its
+    jackknife standard errors; ``skewness`` and ``excess_kurtosis`` are the
+    per-point statistics of output unit 0 over the same networks.
+    """
+
     empirical_k: np.ndarray
     stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalityStats:
-    """Per-point skewness and excess kurtosis of the sampled outputs."""
-
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
 
@@ -108,13 +106,9 @@ def _batch_sums(l0: np.ndarray, hp: NetworkHyperparams, act: Activation,
 
 
 def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
-            n_networks: int, seed: int,
-            units: int) -> tuple[FiniteNetSample, np.ndarray]:
-    """One pass over n_networks random networks.
-
-    Returns the empirical kernel with its jackknife standard errors, and the
-    raw moments E[f^p], p = 1..4, of output unit 0 at every point, (4, n).
-    """
+            n_networks: int, seed: int, units: int) -> FiniteNetSample:
+    """One pass over n_networks random networks: the kernel, its standard
+    errors and the normality statistics."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"points must be (n, d_in), got shape {x.shape}")
@@ -166,21 +160,16 @@ def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
                          * ((loo - center) ** 2).sum(axis=0))
     else:
         stderr = np.full((n, n), np.nan)
-    sample = FiniteNetSample(widths=widths, n_networks=n_networks, seed=seed,
-                             empirical_k=empirical, stderr=stderr)
-    return sample, power_sums / n_networks
-
-
-def _normality(moments: np.ndarray) -> NormalityStats:
-    """Skewness and excess kurtosis from the raw moments E[f^p], p = 1..4."""
-    m1, m2, m3, m4 = moments
+    # skewness and excess kurtosis from the raw moments E[f^p], p = 1..4
+    m1, m2, m3, m4 = power_sums / n_networks
     c2 = m2 - m1 ** 2
     c3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
     c4 = m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4
-    return NormalityStats(
-        skewness=c3 / c2 ** 1.5,
-        excess_kurtosis=c4 / c2 ** 2 - 3.0,
-    )
+    # an output constant across the sample (one network, or no weights and
+    # no bias) has no shape: nan or inf, without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return FiniteNetSample(empirical_k=empirical, stderr=stderr, skewness=c3 / c2 ** 1.5,
+                               excess_kurtosis=c4 / c2 ** 2 - 3.0)
 
 
 def sample_empirical_kernel(points: np.ndarray, hp: NetworkHyperparams,
@@ -188,21 +177,24 @@ def sample_empirical_kernel(points: np.ndarray, hp: NetworkHyperparams,
                             average_units: int = 1) -> FiniteNetSample:
     """Average output-product matrix over n_networks random networks.
 
+    One pass gives the matrix, its standard errors and the normality
+    statistics of output unit 0 (see :func:`gaussianity_check`).
     ``average_units`` > 1 averages the product over that many i.i.d. output
     units per network (variance reduction only; unbiased either way).
     Standard errors come from a delete-one jackknife over 10 contiguous
     shards of the network sample.
     """
     widths = tuple(int(w) for w in np.atleast_1d(widths))
-    return _sample(points, hp, widths, n_networks, seed, units=average_units)[0]
+    return _sample(points, hp, widths, n_networks, seed, units=average_units)
 
 
 def gaussianity_check(points: np.ndarray, hp: NetworkHyperparams, width: int,
-                      n_networks: int, seed: int) -> NormalityStats:
-    """Skewness and excess kurtosis of the output at every point.
+                      n_networks: int, seed: int) -> FiniteNetSample:
+    """The sample of equal-width networks, read for its normality statistics.
 
-    Both shrink toward zero as the width grows (central limit behaviour of
-    the last-layer sum); a width-1 network is visibly non-Gaussian.
+    Skewness and excess kurtosis shrink toward zero as the width grows
+    (central limit behaviour of the last-layer sum); a width-1 network is
+    visibly non-Gaussian.
     """
     widths = (int(width),) * hp.depth
-    return _normality(_sample(points, hp, widths, n_networks, seed, units=1)[1])
+    return _sample(points, hp, widths, n_networks, seed, units=1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
+from .activations import ACTIVATIONS, get_activation
 from .lookup import LookupTable, TableRangeError, expectation_direct, interpolate
 
 DEFAULT_NOISE = 1e-10
@@ -44,6 +44,7 @@ class NetworkHyperparams:
     """Depth, variances, nonlinearity and observation noise of one network.
 
     Fully identifies a kernel. sigma_w2 = 0 is allowed (bias-only network).
+    ``phi`` is a registered tag or Activation and is stored as its tag.
     """
 
     depth: int
@@ -59,7 +60,10 @@ class NetworkHyperparams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        get_activation(self.phi)
+        act = get_activation(self.phi)
+        if ACTIVATIONS.get(act.name) is not act:
+            raise ValueError(f"nonlinearity {act.name!r} is not registered")
+        object.__setattr__(self, "phi", act.name)
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,9 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
     Without a table only ReLU is supported, through its closed form.
     """
     if table is not None:
+        if table.nonlinearity != hp.phi:
+            raise ValueError(f"table is for phi = {table.nonlinearity!r}, "
+                             f"network has phi = {hp.phi!r}")
         try:
             f = interpolate(table, k, q)
         except TableRangeError as exc:

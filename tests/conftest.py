@@ -10,10 +10,11 @@ import pytest
 
 from nngp import (
     NetworkHyperparams,
+    RunConfig,
+    build_dataset,
     build_grid,
     build_kernel_matrix,
     find_mnist,
-    load_mnist_idx,
     load_or_build,
     populate,
     preprocess,
@@ -118,8 +119,4 @@ def mnist_dataset():
             "train-images-idx3-ubyte, train-labels-idx1-ubyte, "
             "t10k-images-idx3-ubyte, t10k-labels-idx1-ubyte (optionally .gz)"
         )
-    x1, y1 = load_mnist_idx(paths["train_images"], paths["train_labels"])
-    x2, y2 = load_mnist_idx(paths["test_images"], paths["test_labels"])
-    x = np.vstack([x1, x2])
-    y = np.concatenate([y1, y2])
-    return preprocess(x, y, d_out=10, split_sizes=(50_000, 10_000, 10_000), seed=7)
+    return build_dataset(RunConfig(dataset_format="mnist", dataset_paths=paths, seed=7))

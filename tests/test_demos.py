@@ -15,9 +15,13 @@ _REPO = Path(__file__).resolve().parent.parent
                        "critical_lines.csv": "sb2,tanh_critical_sw2,relu_critical_sw2"}),
     ("angular_profile", {"angular_profile.csv": "theta," + ",".join(
         f"k_layer_{layer}" for layer in range(10))}),
+    # without MNIST: the synthetic stand-ins, under a second each
+    ("mnist_regression", {}),
+    ("uncertainty_calibration", {"calibration_synthetic.csv": "predicted,realized"}),
 ])
 def test_demo_writes_its_csvs(tmp_path, demo, headers):
     env = dict(os.environ)
+    env.pop("NNGP_DATA_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(_REPO / "demos" / f"{demo}.py")],

@@ -1,9 +1,11 @@
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from nngp import RunConfig, run_experiment
+from nngp import RunConfig, find_mnist, run_experiment, synthetic_blobs
 from nngp.experiment import build_dataset
 
 
@@ -76,6 +78,70 @@ def test_subset_selection(tmp_path):
     cfg = synthetic_config(tmp_path, n_train=50)
     ds = build_dataset(cfg)
     assert ds.split[0] == 50
+
+
+def test_run_experiment_on_csv_file(tmp_path):
+    x, y = synthetic_blobs(n=30, d_in=6, n_classes=3, separation=3.0, seed=5)
+    path = tmp_path / "data.csv"
+    lines = ["label," + ",".join(f"x{j}" for j in range(6))]
+    lines += [f"{label}," + ",".join(repr(float(v)) for v in row) for label, row in zip(y, x)]
+    path.write_text("\n".join(lines) + "\n")
+    cfg = synthetic_config(tmp_path, dataset_format="csv", dataset_paths={"path": str(path)},
+                           d_out=3)
+    cfg.validate()
+    report = run_experiment(cfg)
+    # the default split holds out n // 5 points for testing
+    assert (report["n_train"], report["n_valid"], report["n_test"]) == (24, 0, 6)
+    assert report["accuracy"] == 1.0
+    assert len((tmp_path / "pred.csv").read_text().splitlines()) == 1 + 6
+
+
+def image_classes(n, d, seed):
+    """n uint8 images of two classes, each a fixed pattern plus noise."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % 2)
+    patterns = rng.integers(0, 256, size=(2, d))
+    noise = rng.integers(0, 64, size=(n, d))
+    return (patterns[labels] * 3 // 4 + noise).astype(np.uint8), labels.astype(np.uint8)
+
+
+def test_run_experiment_on_cifar_batches(tmp_path):
+    images, labels = image_classes(12, 3072, seed=6)
+    records = np.column_stack([labels, images])
+    paths = [tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"]
+    paths[0].write_bytes(records[:7].tobytes())
+    paths[1].write_bytes(records[7:].tobytes())
+    cfg = synthetic_config(tmp_path, dataset_format="cifar10", dataset_paths={"paths": paths},
+                           d_out=2, split=(8, 0, 4))
+    cfg.validate()
+    np.testing.assert_array_equal(build_dataset(cfg).labels, labels)
+    report = run_experiment(cfg)
+    assert (report["n_train"], report["n_valid"], report["n_test"]) == (8, 0, 4)
+    assert report["accuracy"] == 1.0
+
+
+def test_run_experiment_on_mnist_idx_files(tmp_path):
+    images, labels = image_classes(40, 28 * 28, seed=7)
+    for stem, part in (("train", slice(0, 30)), ("t10k", slice(30, 40))):
+        n = labels[part].size
+        (tmp_path / f"{stem}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 2051, n, 28, 28) + images[part].tobytes())
+        (tmp_path / f"{stem}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 2049, n) + labels[part].tobytes())
+    # the training images gzipped, as the canonical archives ship
+    plain = tmp_path / "train-images-idx3-ubyte"
+    (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(plain.read_bytes()))
+    plain.unlink()
+    paths = find_mnist(tmp_path)
+    assert paths["train_images"].endswith(".gz")
+    cfg = synthetic_config(tmp_path, dataset_format="mnist", dataset_paths=paths, d_out=2,
+                           split=(24, 6, 10))
+    cfg.validate()
+    # the train archive first, then the test archive, in file order
+    np.testing.assert_array_equal(build_dataset(cfg).labels, labels)
+    report = run_experiment(cfg)
+    assert (report["n_train"], report["n_valid"], report["n_test"]) == (24, 6, 10)
+    assert report["accuracy"] == 1.0
 
 
 def test_duplicated_test_points_are_interpolated(small_tanh_table):

@@ -1,6 +1,7 @@
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ def test_wide_network_outputs_near_gaussian():
     stats = gaussianity_check(pts, hp, width=4096, n_networks=100_000, seed=13)
     assert np.all(np.abs(stats.excess_kurtosis) < 0.1)
     assert np.all(np.abs(stats.skewness) < 0.05)
+
+
+def test_one_sample_carries_kernel_and_normality():
+    # gaussianity_check is the equal-width sample_empirical_kernel, read for
+    # its normality statistics: the same networks, the same four arrays
+    pts = constant_norm_points(3, 8, seed=18)
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    sample = sample_empirical_kernel(pts, hp, (16, 16), 4_000, seed=19)
+    stats = gaussianity_check(pts, hp, 16, 4_000, seed=19)
+    for name in ("empirical_k", "stderr", "skewness", "excess_kurtosis"):
+        np.testing.assert_array_equal(getattr(sample, name), getattr(stats, name))
+    assert sample.skewness.shape == sample.excess_kurtosis.shape == (3,)
+
+
+def test_single_network_has_no_shape_and_no_warning():
+    # one network: no spread to normalize by and no jackknife shards
+    pts = constant_norm_points(3, 8, seed=20)
+    hp = NetworkHyperparams(depth=1, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = sample_empirical_kernel(pts, hp, (8,), 1, seed=21)
+    assert np.all(np.isfinite(sample.empirical_k))
+    assert np.all(np.isnan(sample.stderr))
+    assert not np.any(np.isfinite(sample.skewness))
 
 
 def test_width_one_relu_is_non_gaussian():

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from nngp import (
+    Activation,
     NetworkHyperparams,
     TableRangeError,
     analytic_relu_step,
     angular_profile,
     base_kernel,
     build_kernel_matrix,
+    diagnose,
     evaluate,
     full_kernel,
     iter_kernel_layers,
     posterior,
     sample_prior,
 )
+from nngp.activations import RELU, TANH
 from nngp.kernel import _TRANSFER_COSINES, _compose
 
 from .conftest import constant_norm_points
@@ -167,12 +170,15 @@ def test_depth_flattening_in_ordered_regime(tanh_table):
     assert tail[-1] < 0.05 * gaps[0]
 
 
-def test_variance_escaping_table_names_layer(small_relu_table):
+def test_variance_escaping_table_names_layer(small_relu_table, small_tanh_table):
     # q grows 1.5x per layer from 3.1 and escapes s_max = 16 within depth
     x = constant_norm_points(3, 8, seed=7)
     hp = hp_relu(depth=30, sw2=3.0, sb2=0.1)
     with pytest.raises(TableRangeError, match="layer"):
         build_kernel_matrix(x, hp, small_relu_table)
+    # q0 = sb2 + sw2 = 20.1 on unit-convention inputs is past s_max already
+    with pytest.raises(TableRangeError, match="layer 0"):
+        build_kernel_matrix(x, hp_tanh(depth=2, sw2=20.0, sb2=0.1), small_tanh_table)
 
 
 def test_norm_spread_within_tolerance_clamps_to_diagonal(relu_table):
@@ -459,3 +465,28 @@ def test_hyperparams_validate():
         NetworkHyperparams(depth=1, sigma_w2=-1.0, sigma_b2=0.0, phi="relu")
     with pytest.raises(ValueError, match="nonlinearity"):
         NetworkHyperparams(depth=1, sigma_w2=1.0, sigma_b2=0.0, phi="selu")
+    softsign = Activation("softsign", lambda u: u / (1.0 + np.abs(u)), odd=True)
+    with pytest.raises(ValueError, match="'softsign' is not registered"):
+        NetworkHyperparams(depth=1, sigma_w2=1.0, sigma_b2=0.0, phi=softsign)
+
+
+def test_activation_instance_and_tag_are_one_phi(relu_table):
+    # the instance is stored as its tag, so every "relu" branch takes it
+    tag = NetworkHyperparams(depth=1, sigma_w2=2.5, sigma_b2=0.3, phi="relu")
+    inst = NetworkHyperparams(depth=1, sigma_w2=2.5, sigma_b2=0.3, phi=RELU)
+    assert inst == tag and inst.phi == "relu"
+    assert diagnose(inst, relu_table) == diagnose(tag, relu_table)
+    assert diagnose(inst, relu_table).phase == "unbounded"
+    deep = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.3, phi=RELU)
+    np.testing.assert_array_equal(angular_profile(deep, None).values,
+                                  angular_profile(hp_relu(3, 1.5, 0.3), None).values)
+    assert NetworkHyperparams(depth=1, sigma_w2=1.0, sigma_b2=0.0, phi=TANH).phi == "tanh"
+
+
+def test_table_of_another_phi_rejected(relu_table):
+    x = constant_norm_points(3, 8, seed=1)
+    hp = hp_tanh(depth=2, sw2=1.5, sb2=0.1)
+    for call in (lambda: build_kernel_matrix(x, hp, relu_table),
+                 lambda: diagnose(hp, relu_table)):
+        with pytest.raises(ValueError, match="'relu'.*'tanh'"):
+            call()

@@ -214,6 +214,17 @@ def test_diverged_diagnostics_for_relu():
     assert d.chi1 == 1.5
 
 
+def test_tanh_past_the_table_is_unbounded(small_tanh_table):
+    # q0 = sb2 + sw2 = 17 is past the small table's s_max = 16
+    h = hp("tanh", 15.0, 2.0)
+    d = diagnose(h, small_tanh_table)
+    assert d.phase == "unbounded" and d.diverged
+    assert math.isnan(d.c_star) and math.isnan(d.chi1) and math.isnan(d.xi)
+    assert math.isnan(chi1_at("tanh", 15.0, 2.0, small_tanh_table))
+    with pytest.raises(ValueError, match="finite"):
+        correlation_fixed_point(h, small_tanh_table, math.inf)
+
+
 def test_relu_phase_label_bounded():
     assert diagnose(hp("relu", 1.0, 0.2)).phase == "bounded"
 
