@@ -177,7 +177,7 @@ def test_wide_network_outputs_near_gaussian():
     assert np.all(np.abs(stats.skewness) < 0.05)
 
 
-def test_one_sample_carries_kernel_and_normality():
+def test_gaussianity_check_is_the_same_sample():
     # gaussianity_check is the equal-width sample_empirical_kernel, read for
     # its normality statistics: the same networks, the same four arrays
     pts = constant_norm_points(3, 8, seed=18)
