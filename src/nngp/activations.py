@@ -4,7 +4,9 @@ An activation must be finite on the quadrature grid and have finite value at
 zero (the zero-variance Gaussian expectation is phi(0)^2). The ``odd`` flag
 enables exact antisymmetric handling of correlations below the lowest grid
 point: for odd phi, E[phi(u)phi(v)] at correlation -c equals minus the value
-at +c.
+at +c. ``expectation`` is the two-point expectation F(k_xy, k_xx, k_yy) =
+E[phi(u)phi(v)] in closed form where one is known (ReLU: the degree-1
+arccosine kernel, Cho & Saul 2009), else None.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ class Activation:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     odd: bool
+    expectation: Callable | None = None
 
     @property
     def value_at_zero(self) -> float:
         return float(self.fn(np.float64(0.0)))
 
-    def derivative_at_zero(self, h: float = 1e-6) -> float:
-        """Central finite difference of phi at 0 (no derivative tables)."""
+    def derivative_at_zero(self) -> float:
+        """Central finite difference of phi at 0, step 1e-6 (no derivative tables)."""
+        h = 1e-6
         return float(self.fn(np.float64(h)) - self.fn(np.float64(-h))) / (2.0 * h)
 
 
@@ -34,7 +38,22 @@ def _relu(u):
     return np.maximum(u, 0.0)
 
 
-RELU = Activation("relu", _relu, odd=False)
+def _arccos_expectation(k_xy, k_xx, k_yy):
+    """E[relu(u)relu(v)] at positive variances; scalars or broadcastable arrays."""
+    k_xx = np.asarray(k_xx, dtype=np.float64)
+    k_yy = np.asarray(k_yy, dtype=np.float64)
+    k_xy = np.asarray(k_xy, dtype=np.float64)
+    if np.any(k_xx <= 0.0) or np.any(k_yy <= 0.0):
+        raise ValueError("marginal variances must be positive")
+    denom = np.sqrt(k_xx * k_yy)
+    if np.any(np.abs(k_xy) > denom * (1.0 + 1e-8) + 1e-15):
+        raise ValueError("|k_xy| <= sqrt(k_xx k_yy) violated")
+    cos_t = np.clip(k_xy / denom, -1.0, 1.0)
+    theta = np.arccos(cos_t)
+    return denom / (2.0 * np.pi) * (np.sin(theta) + (np.pi - theta) * cos_t)
+
+
+RELU = Activation("relu", _relu, odd=False, expectation=_arccos_expectation)
 TANH = Activation("tanh", np.tanh, odd=True)
 
 ACTIVATIONS = {a.name: a for a in (RELU, TANH)}

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import lookup
+from .activations import ACTIVATIONS, get_activation
 from .data import DataFormatError, load_csv, preprocess
 from .experiment import RunConfig, _write_predictions, build_dataset, run_experiment
 from .finite_width import sample_empirical_kernel
@@ -29,7 +30,7 @@ def _grid_from_args(args) -> lookup.QuadratureGrid:
     return lookup.build_grid(args.ng, args.nv, args.nc, args.umax, args.smax)
 
 
-def _add_grid_options(p, required=False):
+def _add_grid_options(p):
     p.add_argument("--ng", type=int, default=lookup.DEFAULT_N_G)
     p.add_argument("--nv", type=int, default=lookup.DEFAULT_N_V)
     p.add_argument("--nc", type=int, default=lookup.DEFAULT_N_C)
@@ -38,8 +39,12 @@ def _add_grid_options(p, required=False):
                    help="defaults to sqrt(2*smax)")
 
 
+def _add_phi_option(p):
+    p.add_argument("--phi", choices=tuple(ACTIVATIONS), required=True)
+
+
 def _add_model_options(p):
-    p.add_argument("--phi", choices=("relu", "tanh"), required=True)
+    _add_phi_option(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--sw2", type=float, required=True, help="weight variance")
     p.add_argument("--sb2", type=float, required=True, help="bias variance")
@@ -102,9 +107,8 @@ def cmd_regress(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    table = None
-    if args.phi != "relu":
-        table = lookup.load_or_build(args.phi, _grid_from_args(args))
+    closed = get_activation(args.phi).expectation is not None
+    table = None if closed else lookup.load_or_build(args.phi, _grid_from_args(args))
     sw2s, sb2s = variance_grid(args.cells)
     rows = []
     for sw2 in sw2s:
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="lookup-table management")
     table_sub = p_table.add_subparsers(dest="table_command", required=True)
     p_build = table_sub.add_parser("build", help="build (or load cached) lookup table")
-    p_build.add_argument("--phi", choices=("relu", "tanh"), required=True)
+    _add_phi_option(p_build)
     _add_grid_options(p_build)
     p_build.add_argument("--out", default=None, help="also save a copy here")
     p_build.set_defaults(fn=cmd_table_build)
@@ -194,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_options(p_kernel)
     p_kernel.add_argument("--angles", type=int, default=181)
     p_kernel.add_argument("--analytic", action="store_true",
-                          help="use the closed-form ReLU step instead of the table")
+                          help="use the closed-form step instead of the table")
     p_kernel.add_argument("--profile-out", required=True)
     p_kernel.set_defaults(fn=cmd_kernel)
 
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.set_defaults(fn=cmd_regress)
 
     p_phase = sub.add_parser("phase", help="fixed-point diagnostics grid to CSV")
-    p_phase.add_argument("--phi", choices=("relu", "tanh"), required=True)
+    _add_phi_option(p_phase)
     p_phase.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
     _add_grid_options(p_phase)
     p_phase.add_argument("--out", required=True)
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="accuracy heatmap over (sw2, sb2)")
     p_sweep.add_argument("--dataset", required=True,
                          help="JSON config whose dataset section names the data")
-    p_sweep.add_argument("--phi", choices=("relu", "tanh"), required=True)
+    _add_phi_option(p_sweep)
     p_sweep.add_argument("--depth", type=int, required=True)
     p_sweep.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
     _add_grid_options(p_sweep)

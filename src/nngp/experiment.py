@@ -56,7 +56,7 @@ def find_mnist(data_dir=None) -> dict | None:
 
 @dataclass
 class RunConfig:
-    """Everything one experiment needs, loadable from JSON."""
+    """Everything one experiment needs, loadable from JSON; validated on construction."""
 
     dataset_format: str                    # mnist | cifar10 | csv | synthetic
     dataset_paths: dict = field(default_factory=dict)
@@ -80,7 +80,7 @@ class RunConfig:
         ds = cfg.get("dataset", {})
         model = cfg.get("model", {})
         out = cfg.get("outputs", {})
-        rc = cls(
+        return cls(
             dataset_format=ds.get("format", "csv"),
             dataset_paths={k: v for k, v in ds.items()
                            if k.endswith(("images", "labels", "path", "paths"))},
@@ -98,8 +98,9 @@ class RunConfig:
             predictions_path=out.get("predictions"),
             synthetic=ds.get("synthetic", {}),
         )
-        rc.validate()
-        return rc
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):

@@ -20,19 +20,20 @@ buckets over the cosine axis) and returns np.interp's value bit for bit, in
 row blocks of the Gram, so the n^2 term has a small constant and the only
 n^2 buffer is the Gram the kernel is written over.
 
-For ReLU the step also has a closed form (the arccosine kernel), used both
-as an independent check of the lookup pipeline and as the fast path for
-inputs of unequal norm.
+Where the activation has F in closed form (ReLU: the arccosine kernel) the
+step needs no table: it checks the lookup pipeline, and steps inputs of
+unequal norm entry by entry, where other nonlinearities use quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .activations import ACTIVATIONS, get_activation
+from .activations import ACTIVATIONS, RELU, get_activation
 from .lookup import LookupTable, TableRangeError, expectation_direct, interpolate
 
 DEFAULT_NOISE = 1e-10
@@ -115,23 +116,8 @@ def base_kernel(x: np.ndarray, x2: np.ndarray, hp: NetworkHyperparams) -> float:
 
 
 def analytic_relu_step(k_xy, k_xx, k_yy, hp: NetworkHyperparams):
-    """Closed-form ReLU step (arccosine kernel), valid for unequal variances.
-
-    Accepts scalars or broadcastable arrays.
-    """
-    k_xx = np.asarray(k_xx, dtype=np.float64)
-    k_yy = np.asarray(k_yy, dtype=np.float64)
-    k_xy = np.asarray(k_xy, dtype=np.float64)
-    if np.any(k_xx <= 0.0) or np.any(k_yy <= 0.0):
-        raise ValueError("marginal variances must be positive")
-    denom = np.sqrt(k_xx * k_yy)
-    if np.any(np.abs(k_xy) > denom * (1.0 + 1e-8) + 1e-15):
-        raise ValueError("|k_xy| <= sqrt(k_xx k_yy) violated")
-    cos_t = np.clip(k_xy / denom, -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    out = hp.sigma_b2 + (hp.sigma_w2 / (2.0 * math.pi)) * denom * (
-        np.sin(theta) + (math.pi - theta) * cos_t
-    )
+    """Closed-form ReLU step (arccosine kernel): unequal variances, scalars or arrays."""
+    out = hp.sigma_b2 + hp.sigma_w2 * RELU.expectation(k_xy, k_xx, k_yy)
     return float(out) if out.ndim == 0 else out
 
 
@@ -141,7 +127,7 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
 
     This is the one place the step sigma_b^2 + sigma_w^2 F(k, q) is applied
     to constant-norm covariances; pass k = q to advance the variance itself.
-    Without a table only ReLU is supported, through its closed form.
+    Without a table the activation's closed-form F is used.
     """
     if table is not None:
         if table.nonlinearity != hp.phi:
@@ -151,13 +137,13 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
             f = interpolate(table, k, q)
         except TableRangeError as exc:
             raise TableRangeError(f"layer {layer}: {exc}") from exc
-        return hp.sigma_b2 + hp.sigma_w2 * f
-    if hp.phi != "relu":
-        raise ValueError(f"no analytic step for phi = {hp.phi!r}; pass a lookup table")
-    if q <= 0.0:
-        # zero variance: every pre-activation is 0 and relu(0) = 0
-        return hp.sigma_b2 + np.zeros_like(k)
-    return analytic_relu_step(k, q, q, hp)
+    else:
+        act = get_activation(hp.phi)
+        if act.expectation is None:
+            raise ValueError(f"no analytic step for phi = {hp.phi!r}; pass a lookup table")
+        # zero variance: every pre-activation is 0, so F = phi(0)^2
+        f = act.expectation(k, q, q) if q > 0.0 else np.full_like(k, act.value_at_zero ** 2)
+    return hp.sigma_b2 + hp.sigma_w2 * f
 
 
 def _common_squared_norm(x: np.ndarray) -> float:
@@ -326,8 +312,8 @@ def angular_profile(hp: NetworkHyperparams, table: LookupTable | None = None,
                     n_angles: int = 181) -> AngularProfile:
     """K^l as a function of the angle between two constant-norm inputs.
 
-    Uses the lookup table when given; otherwise requires ReLU and composes
-    the closed-form step.
+    Uses the lookup table when given; otherwise composes the activation's
+    closed-form step.
     """
     thetas = np.linspace(0.0, math.pi, n_angles)
     values, _ = _compose(hp.sigma_b2 + hp.sigma_w2 * np.cos(thetas),
@@ -340,9 +326,10 @@ def full_kernel(points: np.ndarray, hp: NetworkHyperparams,
     """Full depth-L Gram matrix for points of possibly unequal norm.
 
     ``points`` is a 1D array of scalar inputs or an (n, d) array. Equal-norm
-    points with a table go through :func:`build_kernel_matrix`; otherwise
-    ReLU uses the closed-form step and other nonlinearities fall back to
-    per-pair direct quadrature (fine for the small grids prior draws use).
+    points with a table go through :func:`build_kernel_matrix`; otherwise each
+    layer steps the upper triangle, every entry at its own diagonals, by the
+    closed-form F or else per-pair direct quadrature (fine for the small
+    grids prior draws use), and mirrors it.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
@@ -353,22 +340,14 @@ def full_kernel(points: np.ndarray, hp: NetworkHyperparams,
     if const_norm and table is not None:
         return build_kernel_matrix(x, hp, table).entries
 
-    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / d_in
-    if hp.phi == "relu":
-        for _ in range(hp.depth):
-            d = np.diag(k).copy()
-            k = analytic_relu_step(k, d[:, None], d[None, :], hp)
-        return k
-
     act = get_activation(hp.phi)
     grid = table.grid if table is not None else None
-    iu, ju = np.triu_indices(n, k=0)
+    f = act.expectation or np.vectorize(partial(expectation_direct, act, grid=grid),
+                                        otypes=[float])
+    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / d_in
+    iu, ju = np.triu_indices(n)
     for _ in range(hp.depth):
-        d = np.diag(k).copy()
-        nxt = np.empty_like(k)
-        for a, b in zip(iu, ju):
-            f = expectation_direct(act, k[a, b], d[a], d[b], grid)
-            nxt[a, b] = hp.sigma_b2 + hp.sigma_w2 * f
-            nxt[b, a] = nxt[a, b]
-        k = nxt
+        d = np.diag(k)
+        k[iu, ju] = hp.sigma_b2 + hp.sigma_w2 * f(k[iu, ju], d[iu], d[ju])
+        k[ju, iu] = k[iu, ju]
     return k

@@ -135,14 +135,11 @@ class LookupTable:
     grid: QuadratureGrid
     f2d: np.ndarray
     f1d: np.ndarray
-    nonlinearity: str
-    activation: Activation = None
+    activation: Activation
 
-    def __post_init__(self):
-        if self.activation is None:
-            # registry lookup; tables for unregistered activations must be
-            # constructed with the instance attached
-            object.__setattr__(self, "activation", get_activation(self.nonlinearity))
+    @property
+    def nonlinearity(self) -> str:
+        return self.activation.name
 
     @property
     def diag_tol(self) -> float:
@@ -226,8 +223,7 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
     for j, cj in enumerate(grid.c):
         num, den = _fft_column(phi_u, grid.u, s_pos, float(cj), nfft)
         f2d[1:, j] = num / den
-    return LookupTable(grid=grid, f2d=f2d, f1d=f1d, nonlinearity=act.name,
-                       activation=act)
+    return LookupTable(grid=grid, f2d=f2d, f1d=f1d, activation=act)
 
 
 def interpolate(table: LookupTable, k_xy, k_xx: float):
@@ -356,8 +352,7 @@ def load_table(path) -> LookupTable:
     magic, tag, n_g, n_v, n_c, u_max, s_max = struct.unpack_from(head_fmt, raw)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    phi = tag.rstrip(b"\0").decode("ascii")
-    get_activation(phi)  # unknown tag fails here
+    act = get_activation(tag.rstrip(b"\0").decode("ascii"))  # unknown tag fails here
     grid = build_grid(n_g, n_v, n_c, u_max, s_max)
     want = head_size + 8 * (n_v + n_v * n_c)
     if len(raw) != want:
@@ -365,7 +360,7 @@ def load_table(path) -> LookupTable:
     f1d = np.frombuffer(raw, dtype="<f8", count=n_v, offset=head_size).copy()
     f2d = np.frombuffer(raw, dtype="<f8", count=n_v * n_c,
                         offset=head_size + 8 * n_v).reshape(n_v, n_c).copy()
-    return LookupTable(grid=grid, f2d=f2d, f1d=f1d, nonlinearity=phi)
+    return LookupTable(grid=grid, f2d=f2d, f1d=f1d, activation=act)
 
 
 def cache_dir() -> Path:

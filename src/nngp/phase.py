@@ -196,7 +196,7 @@ def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseD
     c_star, chi1, xi = stats
     if math.isinf(q_star):
         phase = "unbounded"
-    elif hp.phi == "relu":
+    elif _closed_form(hp, table):
         phase = "bounded"
     else:
         phase = "ordered" if c_star == 1.0 else "chaotic"

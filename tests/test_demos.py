@@ -18,6 +18,8 @@ _REPO = Path(__file__).resolve().parent.parent
     # without MNIST: the synthetic stand-ins, under a second each
     ("mnist_regression", {}),
     ("uncertainty_calibration", {"calibration_synthetic.csv": "predicted,realized"}),
+    # the closed-form kernel over inputs of unequal norm
+    ("prior_draws", {"prior_draws.csv": "x," + ",".join(f"draw_{i}" for i in range(8))}),
 ])
 def test_demo_writes_its_csvs(tmp_path, demo, headers):
     env = dict(os.environ)

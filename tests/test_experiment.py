@@ -190,3 +190,11 @@ def test_config_missing_file_rejected(tmp_path):
 def test_config_unknown_format_rejected():
     with pytest.raises(ValueError, match="format"):
         RunConfig(dataset_format="parquet").validate()
+
+
+def test_config_validated_on_construction():
+    # a config built in code is checked as one read from JSON is
+    with pytest.raises(ValueError, match="unknown dataset format 'parquet'"):
+        run_experiment(RunConfig(dataset_format="parquet"))
+    with pytest.raises(ValueError, match="unknown grid keys nc; known keys: n_g"):
+        RunConfig(dataset_format="synthetic", grid={"nc": 100})

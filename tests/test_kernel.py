@@ -22,7 +22,7 @@ from nngp.activations import RELU, TANH
 from nngp.kernel import _TRANSFER_COSINES, _compose
 
 from .conftest import constant_norm_points
-from .oracles import arccos_kernel, interp_kernel, per_entry_kernel
+from .oracles import arccos_kernel, gh_expectation, interp_kernel, per_entry_kernel
 
 
 def hp_relu(depth=1, sw2=1.0, sb2=0.0):
@@ -452,6 +452,36 @@ def test_sample_prior_tanh_unequal_norm_small_grid(small_tanh_table):
     draws = sample_prior(grid, hp, small_tanh_table, 1000, seed=4)
     assert draws.shape == (1000, 3)
     assert np.all(np.isfinite(draws))
+
+
+def unequal_norm_points(n, d_in, seed):
+    return constant_norm_points(n, d_in, seed) * np.linspace(0.6, 1.5, n)[:, None]
+
+
+@pytest.mark.parametrize("depth", [1, 5, 20, 100])
+def test_full_kernel_relu_unequal_norms_matches_arccos_oracle(depth):
+    # no table: every layer is the activation's closed form on the upper triangle
+    x = unequal_norm_points(12, 6, seed=12)
+    hp = hp_relu(depth=depth, sw2=1.45, sb2=0.28)
+    k = full_kernel(x, hp, None)
+    ref = arccos_kernel(x, x[:0], hp).entries
+    np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0.0)
+    assert np.array_equal(k, k.T)
+
+
+def test_full_kernel_tanh_unequal_norms_matches_gauss_hermite(small_tanh_table):
+    # per-pair ratio-of-sums quadrature on the small table's u grid against a
+    # per-pair Gauss-Hermite composition; measured 1.5e-7 relative
+    x = unequal_norm_points(4, 5, seed=13)
+    hp = hp_tanh(depth=3, sw2=1.5, sb2=0.1)
+    k = full_kernel(x, hp, small_tanh_table)
+    ref = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / x.shape[1]
+    for _ in range(hp.depth):
+        ref = hp.sigma_b2 + hp.sigma_w2 * np.array(
+            [[gh_expectation(np.tanh, ref[a, b], ref[a, a], ref[b, b]) for b in range(4)]
+             for a in range(4)])
+    np.testing.assert_allclose(k, ref, rtol=1e-6, atol=0.0)
+    assert np.array_equal(k, k.T)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ perfbench/tracing.py replaces ``module.attribute`` for every entry of its
 ``_TRACE_POINTS`` (and ``capture_posteriors`` replaces ``posterior`` in
 ``nngp.experiment`` and ``nngp.phase``). A rename in the library would
 break traced benchmark runs only, so the names are checked here, and a
-small traced run checks that the counts the spans read still exist.
+small traced run checks that the counts the spans read still exist. The
+workloads' checks call the library outside those points too, so one runs
+here on a small instance.
 """
 
 import importlib
@@ -44,3 +46,16 @@ def test_traced_run_reports_every_per_layer_metric(monkeypatch, small_tanh_table
     metrics, _ = tracing.per_layer_metrics(tracer.spans, 0.0)
     assert list(metrics) == [name for name, _, _ in tracing.PER_LAYER]
     assert metrics["lookup.interpolate_calls"] > 0
+
+
+def test_run_workload_checks_pass_on_a_small_instance(monkeypatch, tmp_path):
+    # RunWorkload.checks calls library functions outside _TRACE_POINTS
+    # (kernel.analytic_relu_step among them); its oracle reads the first
+    # ORACLE_TRAIN training points, so that is the smallest training set
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.RunWorkload(n_train=workloads.ORACLE_TRAIN, n_test=20, depth=3)
+    state = wl.setup(seed=1, out_dir=tmp_path)
+    gap_err, checks = wl.checks(state, None)
+    assert all(check.ok for check in checks), checks
+    assert gap_err < 1e-2
