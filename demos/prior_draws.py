@@ -14,7 +14,6 @@ from nngp import NetworkHyperparams, full_kernel, sample_prior
 
 hp = NetworkHyperparams(depth=10, sigma_w2=1.8, sigma_b2=0.01, phi="relu")
 grid = np.linspace(-1.0, 1.0, 201)
-grid = grid[np.abs(grid) > 1e-12]
 
 n_show = 8
 draws = sample_prior(grid, hp, None, n_draws=10_000, seed=7)

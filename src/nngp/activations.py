@@ -39,16 +39,16 @@ def _relu(u):
 
 
 def _arccos_expectation(k_xy, k_xx, k_yy):
-    """E[relu(u)relu(v)] at positive variances; scalars or broadcastable arrays."""
+    """E[relu(u)relu(v)], scalars or broadcastable arrays; 0 where a variance is 0."""
     k_xx = np.asarray(k_xx, dtype=np.float64)
     k_yy = np.asarray(k_yy, dtype=np.float64)
     k_xy = np.asarray(k_xy, dtype=np.float64)
-    if np.any(k_xx <= 0.0) or np.any(k_yy <= 0.0):
-        raise ValueError("marginal variances must be positive")
+    if np.any(k_xx < 0.0) or np.any(k_yy < 0.0):
+        raise ValueError("marginal variances must be non-negative")
     denom = np.sqrt(k_xx * k_yy)
     if np.any(np.abs(k_xy) > denom * (1.0 + 1e-8) + 1e-15):
         raise ValueError("|k_xy| <= sqrt(k_xx k_yy) violated")
-    cos_t = np.clip(k_xy / denom, -1.0, 1.0)
+    cos_t = np.clip(k_xy / np.where(denom > 0.0, denom, 1.0), -1.0, 1.0)
     theta = np.arccos(cos_t)
     return denom / (2.0 * np.pi) * (np.sin(theta) + (np.pi - theta) * cos_t)
 

@@ -141,8 +141,7 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
         act = get_activation(hp.phi)
         if act.expectation is None:
             raise ValueError(f"no analytic step for phi = {hp.phi!r}; pass a lookup table")
-        # zero variance: every pre-activation is 0, so F = phi(0)^2
-        f = act.expectation(k, q, q) if q > 0.0 else np.full_like(k, act.value_at_zero ** 2)
+        f = act.expectation(k, q, q)
     return hp.sigma_b2 + hp.sigma_w2 * f
 
 

@@ -13,10 +13,11 @@ fixed point of its affine variance map, and c* = 1 with chi1 = sw2 / 2, the
 slope of the arccosine map at c = 1. Its table truncates the pre-activation
 range, which at large q falls short of F(q, q) = q/2 and can fake a fixed
 point where the variance diverges. Every other phi needs a lookup table,
-and its maps go through the kernel's layer step ``kernel._layer_map``. At
-fixed q* that map is exactly linear in c between the table's c nodes (below
-the table's variance resolution it is replaced by its exact small-variance
-linearization around c = 1, also linear), so c* and chi1 are read off its
+whose maps are the kernel's layer step ``kernel._layer_map``. Both are
+increasing and exactly linear between nodes: the variance map between the
+table's s nodes (its diagonal f1d), the correlation map at fixed q* between
+its c nodes (below the first variance row, its exact small-variance
+linearization around c = 1). So q*, c* and chi1 are read off the maps'
 values at the nodes: no iteration and no finite difference.
 """
 
@@ -33,8 +34,6 @@ from .kernel import NetworkHyperparams, _layer_map, build_kernel_matrix
 from .lookup import LookupTable, interpolate, load_or_build  # noqa: F401
 from .regression import evaluate, posterior
 
-_Q_TOL = 1e-10
-_Q_MAX_ITERS = 10_000
 _Q_DIVERGENCE = 1e6
 _CRITICAL_BAND = 1e-4
 _CRITICAL_BRACKET = (1e-3, 10.0)
@@ -78,14 +77,36 @@ def _closed_form(hp: NetworkHyperparams, table: LookupTable | None) -> bool:
     return False
 
 
+def _crossing(x: np.ndarray, y: np.ndarray, start: int) -> tuple[float, int] | None:
+    """(crossing, segment) where iterating a map from node x[start] stops.
+
+    The map is increasing and linear between the nodes x, where it takes the
+    values y, so the iterates move monotonically to the first crossing of
+    the diagonal on the side y - x points to: None if past the last node.
+    """
+    g = y - x
+    if g[start] == 0.0:
+        return float(x[start]), min(start, x.size - 2)
+    if g[start] > 0.0:
+        past = np.flatnonzero(g[start + 1:] <= 0.0)
+        if past.size == 0:
+            return None
+        k = start + int(past[0])
+    else:
+        k = int(np.flatnonzero(g[:start] >= 0.0)[-1])
+    # the root of g, which is linear and decreasing on segment k
+    return float(np.interp(0.0, g[[k + 1, k]], x[[k + 1, k]])), k
+
+
 def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = None) -> float:
     """Fixed point of q <- sigma_b^2 + sigma_w^2 F(q, q, q), or math.inf.
 
-    Divergence -- q escaping the tabulated range (the closed form's ceiling
-    is 1e6), or monotone growth through the iteration cap -- is a labeled
-    outcome, not an error. ReLU's map q <- sb2 + sw2 q / 2 is affine, so its
-    fixed point is sb2 / (1 - sw2 / 2) for sw2 < 2 and diverges above; at
-    (2, 0) every q is fixed and the starting q0 = 2 is returned.
+    Divergence -- q escaping the tabulated range, or the closed form's
+    ceiling of 1e6 -- is a labeled outcome, not an error. ReLU's map q <-
+    sb2 + sw2 q / 2 is affine, so its fixed point is sb2 / (1 - sw2 / 2) for
+    sw2 < 2 and diverges above; at (2, 0) every q is fixed and the starting
+    q0 = 2 is returned. A table phi's iteration from q0 = sb2 + sw2 is read
+    off the map's values at the table's s nodes, with no iteration cap.
     """
     sw2, sb2 = hp.sigma_w2, hp.sigma_b2
     if _closed_form(hp, table):
@@ -96,22 +117,16 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
         q = sb2 / (1.0 - sw2 / 2.0)
         return math.inf if q > _Q_DIVERGENCE else q
 
-    q = sb2 + sw2
-    if q > table.grid.s_max:
+    q0 = sb2 + sw2
+    if q0 > table.grid.s_max:
         return math.inf
-    grew = True
-    for _ in range(_Q_MAX_ITERS):
-        q_next = _layer_map(q, q, hp, table, 1)
-        if q_next > table.grid.s_max:
-            return math.inf
-        delta = q_next - q
-        grew = grew and delta > 0.0
-        q = q_next
-        if abs(delta) < _Q_TOL * max(q, 1.0):
-            return float(q)
-    if grew:
-        return math.inf
-    return float(q)
+    q = np.union1d(table.grid.s, q0)
+    start = int(np.searchsorted(q, q0))
+    m = sb2 + sw2 * np.interp(q, table.grid.s, table.f1d)
+    # the kernel's own step at the start node, which also checks the table's phi
+    m[start] = _layer_map(q0, q0, hp, table, 1)
+    hit = _crossing(q, m, start)
+    return math.inf if hit is None else hit[0]
 
 
 def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
@@ -129,33 +144,28 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
     return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star
 
 
-def _fixed_point_stats(hp: NetworkHyperparams, table: LookupTable | None,
-                       q_star: float) -> tuple[float, float, float] | None:
-    """(c*, chi1, xi), or None where q* diverged past the table.
+def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
+                            q_star: float) -> tuple[float, float, float]:
+    """(c*, chi1, xi) for the correlation map at q*, finite for a table phi.
 
-    ReLU's map stays above the diagonal below c = 1 at finite q* and is
-    q*-free at q* = 0 or inf, so c* = 1 and chi1 is its slope there, sw2 / 2.
+    A table phi's map is piecewise linear in c: c* = 1 when the slope of the
+    last segment (c -> 1-) is below 1; otherwise c* is where the iteration
+    c <- clip(R(c)) from 0.5 stops, and chi1 is its segment's slope. ReLU's
+    map stays above the diagonal below c = 1 at any q*, so c* = 1 and chi1 =
+    sw2 / 2, its slope there. xi = -1/log(chi1), infinite on the critical band.
     """
     if _closed_form(hp, table):
         c_star, chi1 = 1.0, hp.sigma_w2 / 2.0
     elif math.isinf(q_star):
-        return None
+        raise ValueError("q* must be finite")
     else:
         c, r = _correlation_map(hp, table, q_star)
         slopes = np.diff(r) / np.diff(c)
         # c = 1 is a fixed point; when stable (slope at c -> 1- below 1) it is c*
         c_star, chi1 = 1.0, float(slopes[-1])
         if chi1 >= 1.0:
-            # iterating c <- clip(R(c)) from 0.5 moves monotonically (R increases)
-            # to the first fixed point on the side R(0.5) - 0.5 points to
-            g = np.clip(r, -1.0, 1.0) - c
-            half = int(np.flatnonzero(c == 0.5)[0])
-            if g[half] > 0.0:
-                k = half + int(np.flatnonzero(g[half + 1:] <= 0.0)[0])
-            else:
-                k = int(np.flatnonzero(g[:half + 1] >= 0.0)[-1])
-            # the root of g, which is linear and decreasing on segment k
-            c_star = float(np.interp(0.0, g[[k + 1, k]], c[[k + 1, k]]))
+            # clip(R(1)) = 1, so the iteration never escapes past c = 1
+            c_star, k = _crossing(c, np.clip(r, -1.0, 1.0), int(np.flatnonzero(c == 0.5)[0]))
             chi1 = float(slopes[k])
     chi1 = max(chi1, 0.0)
     if chi1 > 1.0 or abs(chi1 - 1.0) < _CRITICAL_BAND:
@@ -165,23 +175,6 @@ def _fixed_point_stats(hp: NetworkHyperparams, table: LookupTable | None,
     return c_star, chi1, xi
 
 
-def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
-                            q_star: float) -> tuple[float, float, float]:
-    """(c*, chi1, xi) for the correlation map at a finite q*.
-
-    The map of a table phi is piecewise linear in c, so both are read off
-    its nodes: c* = 1 when the slope of the last segment (c -> 1-) is below
-    1; otherwise c* is the crossing that the iteration c <- R(c) from 0.5
-    converges to, solved within its segment, and chi1 is that segment's
-    slope. ReLU has c* = 1 and chi1 = sw2 / 2 exactly. xi = -1/log(chi1),
-    infinite within the critical band.
-    """
-    stats = _fixed_point_stats(hp, table, q_star)
-    if stats is None:
-        raise ValueError("q* must be finite")
-    return stats
-
-
 def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseDiagnostics:
     """Full fixed-point diagnostics for one hyperparameter point.
 
@@ -189,11 +182,10 @@ def diagnose(hp: NetworkHyperparams, table: LookupTable | None = None) -> PhaseD
     stable fixed point), chaotic or unbounded.
     """
     q_star = variance_fixed_point(hp, table)
-    stats = _fixed_point_stats(hp, table, q_star)
-    if stats is None:
-        return PhaseDiagnostics(q_star=q_star, c_star=math.nan, chi1=math.nan,
-                                xi=math.nan, phase="unbounded")
-    c_star, chi1, xi = stats
+    if math.isinf(q_star) and not _closed_form(hp, table):
+        # past the table there is no correlation map to read
+        return PhaseDiagnostics(q_star, math.nan, math.nan, math.nan, "unbounded")
+    c_star, chi1, xi = correlation_fixed_point(hp, table, q_star)
     if math.isinf(q_star):
         phase = "unbounded"
     elif _closed_form(hp, table):
@@ -207,11 +199,13 @@ def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) 
     """Stability of the unit-correlation fixed point at one (sw2, sb2).
 
     This is the slope of the correlation map at c -> 1-: sw2 / 2 for ReLU,
-    the last segment's slope for a table phi. c = 1 is always a fixed point;
-    its stability flips exactly on the critical line, so this slope crosses
-    1 monotonically in sigma_w^2 (the slope at an interior chaotic fixed
-    point does not). It equals the chi1 reported by diagnose() wherever
-    c* = 1, and is nan where q* diverged past the table.
+    the last segment's slope for a table phi. c = 1 is always a fixed point,
+    and its stability flips where this slope crosses 1. For a table phi the
+    slope need not be monotone in sigma_w^2: for tanh at sb2 = 0 it is the
+    small-variance linearization's sw2 while q* is below the first variance
+    row s[1], then drops from 1.35 to 0.950 at sw2 = 1.4, where q* passes
+    s[1] and the table's chord takes over. It equals the chi1 reported by
+    diagnose() wherever c* = 1, and is nan where q* diverged past the table.
     """
     hp = NetworkHyperparams(depth=1, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
     if _closed_form(hp, table):
@@ -227,7 +221,10 @@ def critical_line(phi: str, sb2_grid: np.ndarray,
                   table: LookupTable | None = None) -> np.ndarray:
     """sigma_w^2 with chi1 = 1, bisected per sigma_b^2 on [1e-3, 10] to 1e-6 in chi1.
 
-    Cells whose bracket shows no sign change come back as nan.
+    Cells whose bracket shows no sign change come back as nan. Plain
+    bisection from this bracket is relied on: chi1_at is not monotone in
+    sigma_w^2, and at tanh's sb2 = 0 bisection lands on 1.0000003 where
+    brentq on the same bracket finds its drop at 1.524.
     """
     sb2_grid = np.asarray(sb2_grid, dtype=np.float64)
     out = np.empty(sb2_grid.shape)

@@ -8,6 +8,8 @@ inverse instead of a Cholesky solve.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GH_NODES = 120
@@ -85,6 +87,31 @@ def tanh_chi1_gh(sw2: float, sb2: float) -> float:
         return sw2
     z = np.sqrt(2.0 * q) * _gh_x
     return sw2 * float(_gh_w @ (1.0 / np.cosh(z)) ** 4) / np.sqrt(np.pi)
+
+
+def iterated_variance_fixed_point(hp, table) -> float:
+    """Variance fixed point of a table phi by iterating the kernel's layer step.
+
+    q <- sigma_b^2 + sigma_w^2 F(q, q) from q0 = sigma_b^2 + sigma_w^2 until
+    a step moves q by less than 1e-10 max(q, 1). math.inf when q escapes the
+    table, or when it grows at every one of 10,000 steps.
+    """
+    from nngp.kernel import _layer_map
+
+    q = hp.sigma_b2 + hp.sigma_w2
+    if q > table.grid.s_max:
+        return math.inf
+    grew = True
+    for _ in range(10_000):
+        q_next = _layer_map(q, q, hp, table, 1)
+        if q_next > table.grid.s_max:
+            return math.inf
+        delta = q_next - q
+        grew = grew and delta > 0.0
+        q = q_next
+        if abs(delta) < 1e-10 * max(q, 1.0):
+            return float(q)
+    return math.inf if grew else float(q)
 
 
 def iterated_correlation_fixed_point(hp, table, q_star: float) -> tuple[float, float]:

@@ -81,9 +81,14 @@ def test_analytic_relu_step_theta_pi():
     assert analytic_relu_step(-1.0, 1.0, 1.0, hp_relu(sw2=2.0)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_analytic_relu_step_rejects_nonpositive_variance():
-    with pytest.raises(ValueError, match="positive"):
-        analytic_relu_step(0.0, 0.0, 1.0, hp_relu())
+def test_analytic_relu_step_rejects_negative_variance():
+    with pytest.raises(ValueError, match="non-negative"):
+        analytic_relu_step(0.0, -1.0, 1.0, hp_relu())
+
+
+def test_analytic_relu_step_zero_variance_is_bias():
+    # a zero-variance pre-activation is 0, and relu(0) = 0 is a factor of F
+    assert analytic_relu_step(0.0, 0.0, 1.0, hp_relu(sw2=1.7, sb2=0.3)) == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +472,17 @@ def test_full_kernel_relu_unequal_norms_matches_arccos_oracle(depth):
     ref = arccos_kernel(x, x[:0], hp).entries
     np.testing.assert_allclose(k, ref, rtol=1e-13, atol=0.0)
     assert np.array_equal(k, k.T)
+
+
+def test_full_kernel_relu_zero_input_gives_zero_row():
+    # at sb2 = 0 the input 0 has zero variance at every layer; the other
+    # entries do not depend on it
+    x = np.array([0.0, 0.5, 1.0])
+    hp = hp_relu(depth=2, sw2=1.8, sb2=0.0)
+    k = full_kernel(x, hp, None)
+    assert np.all(k[0] == 0.0) and np.all(k[:, 0] == 0.0)
+    ref = arccos_kernel(x[1:, None], x[:0, None], hp).entries
+    np.testing.assert_allclose(k[1:, 1:], ref, rtol=1e-13, atol=0.0)
 
 
 def test_full_kernel_tanh_unequal_norms_matches_gauss_hermite(small_tanh_table):

@@ -5,8 +5,9 @@ perfbench/tracing.py replaces ``module.attribute`` for every entry of its
 ``nngp.experiment`` and ``nngp.phase``). A rename in the library would
 break traced benchmark runs only, so the names are checked here, and a
 small traced run checks that the counts the spans read still exist. The
-workloads' checks call the library outside those points too, so one runs
-here on a small instance.
+workloads' checks call the library outside those points too, so the run
+workload's checks run here on a small instance and the phase workload's at
+full size (about half a second).
 """
 
 import importlib
@@ -59,3 +60,17 @@ def test_run_workload_checks_pass_on_a_small_instance(monkeypatch, tmp_path):
     gap_err, checks = wl.checks(state, None)
     assert all(check.ok for check in checks), checks
     assert gap_err < 1e-2
+
+
+def test_phase_sweep_workload_checks_pass_and_op_repeats(monkeypatch, tmp_path):
+    # PhaseSweepWorkload's op is the benchmark's whole phase path (diagnose
+    # grid, both critical lines, sweep); its checks read the critical lines,
+    # and two runs of op give one digest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.PhaseSweepWorkload()
+    state = wl.setup(seed=1, out_dir=tmp_path)
+    first, second = wl.op(state), wl.op(state)
+    _, checks = wl.checks(state, first)
+    assert all(check.ok for check in checks), checks
+    assert wl.digest(state, first) == wl.digest(state, second)

@@ -20,8 +20,8 @@ from nngp import (
 from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
-from .oracles import (arccos_kernel, iterated_correlation_fixed_point, tanh_chi1_gh,
-                      tanh_qstar_gh)
+from .oracles import (arccos_kernel, iterated_correlation_fixed_point,
+                      iterated_variance_fixed_point, tanh_chi1_gh, tanh_qstar_gh)
 
 
 def hp(phi, sw2, sb2, depth=1):
@@ -85,11 +85,24 @@ def test_tanh_without_table_names_the_lookup_table():
 def test_tanh_small_weight_variance_collapses_to_zero(tanh_table):
     for sw2 in (0.5, 1.0):
         q = variance_fixed_point(hp("tanh", sw2, 0.0), tanh_table)
-        assert abs(q) < 1e-8
+        assert q == 0.0
 
 
 def test_zero_weight_variance_fixed_point_is_bias(tanh_table):
     assert variance_fixed_point(hp("tanh", 0.0, 0.7), tanh_table) == pytest.approx(0.7)
+
+
+def test_variance_fixed_point_rejects_table_of_another_phi(relu_table):
+    with pytest.raises(ValueError, match="'relu'.*'tanh'"):
+        variance_fixed_point(hp("tanh", 1.5, 0.1), relu_table)
+
+
+def test_zero_variances_fix_the_first_node(tanh_table):
+    # the map is constant at q0 = 0, the table's first node: no node lies
+    # below the start
+    h = hp("tanh", 0.0, 0.0)
+    assert variance_fixed_point(h, tanh_table) == 0.0
+    assert diagnose(h, tanh_table).phase == "ordered"
 
 
 def test_tanh_fixed_point_matches_gauss_hermite(tanh_table):
@@ -107,7 +120,19 @@ def test_fixed_point_residual(tanh_table):
         h = hp("tanh", sw2, sb2)
         q = variance_fixed_point(h, tanh_table)
         residual = abs(q - (sb2 + sw2 * interpolate(tanh_table, q, q)))
-        assert residual <= 1e-8
+        assert residual <= 1e-12 * max(q, 1.0)
+
+
+def test_variance_fixed_point_matches_iteration_on_sweep_grid(tanh_table):
+    # the 10 x 10 grid of the benchmark's phase sweep, sb2 = 0 included:
+    # the read off the s nodes against the layer step iterated to 1e-10
+    from nngp.phase import SWEEP_SB2_GRID, SWEEP_SW2_GRID
+
+    for sw2 in SWEEP_SW2_GRID[::3]:
+        for sb2 in SWEEP_SB2_GRID[::3]:
+            h = hp("tanh", float(sw2), float(sb2))
+            want = iterated_variance_fixed_point(h, tanh_table)
+            assert variance_fixed_point(h, tanh_table) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +175,12 @@ def test_layer_map_is_linear_between_c_nodes(tanh_table):
 def test_tanh_table_rows_increase_in_c(tanh_table):
     # so is the correlation map at every q* above the first variance row
     # (the s = 0 row is phi(0)^2 = 0; below s[1] the linearization is used);
-    # the smallest step, 2.7e-4, is the last one of the s = 0.2 row
+    # the smallest step, 2.7e-4, is the last one of the s = 0.2 row. The
+    # variance map rises along f1d (smallest step 4.7e-5), so its iteration
+    # moves monotonically
     rows = np.column_stack([-tanh_table.f1d, tanh_table.f2d, tanh_table.f1d])[1:]
     assert np.diff(rows, axis=1).min() > 0.0
+    assert np.all(np.diff(tanh_table.f1d) > 0.0)
 
 
 def test_diagnose_matches_iterated_reference_on_sweep_grid(tanh_table):
@@ -175,7 +203,7 @@ def test_diagnose_matches_iterated_reference_on_sweep_grid(tanh_table):
 
 
 def test_clipped_end_chi1_is_the_segment_slope(tanh_table):
-    # q* = 3.9e-10 is below the first variance row, so the map is the
+    # q* = 0 is below the first variance row, so the map is the
     # linearization 1 - chi1 (1 - c) with chi1 = sw2 phi'(0)^2 = 1.114, and
     # the iteration from 0.5 is clipped at c* = -1. A centered difference
     # there straddles the clipped end and reads half the slope
@@ -183,7 +211,7 @@ def test_clipped_end_chi1_is_the_segment_slope(tanh_table):
 
     sw2 = float(SWEEP_SW2_GRID[6])
     d = diagnose(hp("tanh", sw2, 0.0), tanh_table)
-    assert d.q_star < tanh_table.grid.s[1]
+    assert d.q_star == 0.0
     assert d.c_star == -1.0 and d.phase == "chaotic"
     assert d.chi1 == pytest.approx(sw2, rel=1e-9)
     assert math.isinf(d.xi)
