@@ -82,8 +82,8 @@ class Dataset:
 
     def subset(self, n_train: int) -> "Dataset":
         """Keep the first n_train points of the shuffled training split."""
-        if n_train > self.split[0]:
-            raise ValueError(f"n_train = {n_train} exceeds train split {self.split[0]}")
+        if not 0 <= n_train <= self.split[0]:
+            raise ValueError(f"n_train = {n_train} outside [0, {self.split[0]}], the train split")
         tr, va, te = self.indices
         return Dataset(
             inputs=self.inputs, targets=self.targets, labels=self.labels,
@@ -205,8 +205,8 @@ def preprocess(inputs: np.ndarray, labels: np.ndarray, d_out: int,
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError(f"need (n, d) inputs and (n,) labels, got {x.shape}, {y.shape}")
     n, d_in = x.shape
-    if sum(split_sizes) > n:
-        raise ValueError(f"split sizes {split_sizes} sum past {n} rows")
+    if min(split_sizes) < 0 or sum(split_sizes) > n:
+        raise ValueError(f"split sizes {split_sizes} must be non-negative and sum to <= {n} rows")
     if y.size and (y.min() < 0 or y.max() >= d_out):
         bad = int(np.flatnonzero((y < 0) | (y >= d_out))[0])
         raise ValueError(f"label {y[bad]} at row {bad} outside [0, {d_out})")

@@ -35,6 +35,8 @@ MNIST_FILES = {
 }
 MNIST_SPLIT = (50_000, 10_000, 10_000)
 CIFAR_SPLIT = (45_000, 5_000, 10_000)
+# the keys load_raw reads from a synthetic dataset section
+_SYNTHETIC_KEYS = ("n", "d_in", "separation", "seed", "n_test", "n_valid")
 
 
 def find_mnist(data_dir=None) -> dict | None:
@@ -105,11 +107,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
-        known = inspect.signature(build_grid).parameters
-        unknown = sorted(set(self.grid) - set(known))
-        if unknown:
-            raise ValueError(f"unknown grid keys {', '.join(unknown)}; "
-                             f"known keys: {', '.join(known)}")
+        for section, keys, known in (
+                ("grid", self.grid, tuple(inspect.signature(build_grid).parameters)),
+                ("synthetic", self.synthetic, _SYNTHETIC_KEYS)):
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {section} keys {', '.join(unknown)}; "
+                                 f"known keys: {', '.join(known)}")
         for key, value in self.dataset_paths.items():
             paths = value if isinstance(value, list) else [value]
             for p in paths:

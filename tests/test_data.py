@@ -214,6 +214,13 @@ def test_preprocess_rejects_oversized_split():
         preprocess(x, np.zeros(3, dtype=int), d_out=2, split_sizes=(3, 1, 0), seed=0)
 
 
+def test_preprocess_rejects_negative_split_size():
+    # a negative size would shift the later splits' slices (here to empty)
+    x = np.ones((200, 4))
+    with pytest.raises(ValueError, match=r"split sizes \(-20, 0, 50\) must be non-negative"):
+        preprocess(x, np.zeros(200, dtype=int), d_out=2, split_sizes=(-20, 0, 50), seed=0)
+
+
 def test_preprocess_rejects_out_of_range_label():
     x = np.ones((3, 4))
     with pytest.raises(ValueError, match="label"):
@@ -231,6 +238,14 @@ def test_subset_takes_first_training_points():
     np.testing.assert_array_equal(sub.indices[2], ds.indices[2])
     with pytest.raises(ValueError, match="n_train"):
         ds.subset(31)
+
+
+def test_subset_rejects_negative_n_train():
+    # tr[:-1] would silently drop one point from the end
+    x = np.random.default_rng(8).standard_normal((50, 4))
+    ds = preprocess(x, np.zeros(50, dtype=int), d_out=3, split_sizes=(30, 10, 10), seed=2)
+    with pytest.raises(ValueError, match=r"n_train = -1 outside \[0, 30\]"):
+        ds.subset(-1)
 
 
 def test_synthetic_blobs_balanced():

@@ -198,3 +198,11 @@ def test_config_validated_on_construction():
         run_experiment(RunConfig(dataset_format="parquet"))
     with pytest.raises(ValueError, match="unknown grid keys nc; known keys: n_g"):
         RunConfig(dataset_format="synthetic", grid={"nc": 100})
+
+
+def test_config_rejects_unknown_synthetic_keys():
+    # misspelt keys would otherwise run with the default split and separation
+    with pytest.raises(ValueError, match="unknown synthetic keys n_tests, seperation; "
+                                         "known keys: n, d_in"):
+        RunConfig(dataset_format="synthetic",
+                  synthetic={"n": 200, "n_tests": 5, "seperation": 3.0})

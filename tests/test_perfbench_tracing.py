@@ -6,8 +6,8 @@ perfbench/tracing.py replaces ``module.attribute`` for every entry of its
 break traced benchmark runs only, so the names are checked here, and a
 small traced run checks that the counts the spans read still exist. The
 workloads' checks call the library outside those points too, so the run
-workload's checks run here on a small instance and the phase workload's at
-full size (about half a second).
+workload's checks run here on a small instance, and the phase and
+table-build workloads' at full size (about half a second and a second).
 """
 
 import importlib
@@ -69,6 +69,20 @@ def test_phase_sweep_workload_checks_pass_and_op_repeats(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     wl = workloads.PhaseSweepWorkload()
+    state = wl.setup(seed=1, out_dir=tmp_path)
+    first, second = wl.op(state), wl.op(state)
+    _, checks = wl.checks(state, first)
+    assert all(check.ok for check in checks), checks
+    assert wl.digest(state, first) == wl.digest(state, second)
+
+
+def test_table_build_workload_checks_pass_and_op_repeats(monkeypatch, tmp_path):
+    # TableBuildWorkload's op builds a table into an empty cache; setup loads
+    # the default ReLU table from the tests' cache, which earlier code may
+    # have built, so table_matches_cache compares a fresh build with it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.TableBuildWorkload()
     state = wl.setup(seed=1, out_dir=tmp_path)
     first, second = wl.op(state), wl.op(state)
     _, checks = wl.checks(state, first)
