@@ -14,7 +14,6 @@ available).
 import numpy as np
 
 from nngp import (
-    KernelMatrix,
     NetworkHyperparams,
     RunConfig,
     build_dataset,
@@ -34,14 +33,10 @@ x = rng.standard_normal((1500, 8))
 x *= np.sqrt(8.0 / np.einsum("ij,ij->i", x, x))[:, None]
 n_train = 400
 
-k_all = build_kernel_matrix(x, hp, table)
 draws = sample_prior(x, hp, table, n_draws=10, seed=13)
 targets = (draws + rng.standard_normal(draws.shape) * np.sqrt(hp.noise)).T
 
-kern = KernelMatrix(entries=np.hstack([k_all.kdd[:n_train, :n_train],
-                                       k_all.kdd[:n_train, n_train:]]),
-                    n_train=n_train,
-                    test_diag=np.diag(k_all.kdd)[n_train:], layer=hp.depth)
+kern = build_kernel_matrix(x[:n_train], hp, table, x[n_train:])
 pred = posterior(kern, targets[:n_train], hp)
 bins = calibration_bins(pred, targets[n_train:], bin_size=100)
 predicted = np.array([b[0] for b in bins])

@@ -45,20 +45,12 @@ class Dataset:
     norm_constant: float
 
     @property
-    def d_out(self) -> int:
-        return self.targets.shape[1]
-
-    @property
     def train_inputs(self) -> np.ndarray:
         return self.inputs[self.indices[0]]
 
     @property
     def train_targets(self) -> np.ndarray:
         return self.targets[self.indices[0]]
-
-    @property
-    def train_labels(self) -> np.ndarray:
-        return self.labels[self.indices[0]]
 
     @property
     def valid_inputs(self) -> np.ndarray:
@@ -75,10 +67,6 @@ class Dataset:
     @property
     def test_targets(self) -> np.ndarray:
         return self.targets[self.indices[2]]
-
-    @property
-    def test_labels(self) -> np.ndarray:
-        return self.labels[self.indices[2]]
 
     def subset(self, n_train: int) -> "Dataset":
         """Keep the first n_train points of the shuffled training split."""

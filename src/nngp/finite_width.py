@@ -12,14 +12,16 @@ Gaussian with covariance sigma_w^2 (h h^T / N) + sigma_b^2 11^T across
 points, independent across units. For Gaussian parameters this holds at any
 finite width, so the sampled joint law of the outputs is identical to
 materializing every weight matrix, at a fraction of the random-number cost.
-The networks are split into near-equal batches. Each batch array holds at
-most _BATCH_VALUE_BUDGET values (networks x points x widest layer, output
-units included), and each batch draws from its own child generator spawned
-from the seed. The batches run on a thread pool with one worker per
+The networks are split into min(_MIN_BATCHES, n_networks) near-equal
+batches, or into more when a batch array would hold over
+_BATCH_VALUE_BUDGET values (networks x points x widest layer, output units
+included). Each batch draws from its own child generator spawned from the
+seed, and the batches are the groups of the delete-one jackknife that gives
+the standard errors. The batches run on a thread pool with one worker per
 available core, at most one batch per worker in flight; numpy's random
 fills, tanh, matmul and eigh release the interpreter lock, so they overlap.
 The plan depends only on (n_networks, n_points, widths, units), never on the
-core count, and the main thread adds the batches' partial sums in batch
+core count, and the main thread keeps the batches' partial sums in batch
 order, so everything is deterministic given (seed, widths, n_networks) and
 bit-identical on any number of cores.
 """
@@ -37,7 +39,7 @@ import numpy as np
 from .kernel import NetworkHyperparams, _common_squared_norm
 from .activations import Activation, get_activation
 
-_JACKKNIFE_SHARDS = 10
+_MIN_BATCHES = 40
 _BATCH_VALUE_BUDGET = 3_000_000
 
 
@@ -63,23 +65,24 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _batch_plan(n_networks: int, n_points: int, max_width: int) -> list[int]:
-    """Near-equal batch sizes whose n_points x max_width values fit the budget."""
+    """Near-equal batch sizes, at least min(_MIN_BATCHES, n_networks) of them,
+    whose n_points x max_width values fit the budget."""
     cap = max(1, _BATCH_VALUE_BUDGET // (n_points * max_width))
-    n_batches = -(-n_networks // cap)
+    n_batches = max(-(-n_networks // cap), min(_MIN_BATCHES, n_networks))
     base, rem = divmod(n_networks, n_batches)
     return [base + 1] * rem + [base] * (n_batches - rem)
 
 
 def _batch_sums(l0: np.ndarray, hp: NetworkHyperparams, act: Activation,
-                widths: tuple[int, ...], units: int, shard_ids: np.ndarray, n_shards: int,
+                widths: tuple[int, ...], units: int, batch: int,
                 stream: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
     """Sample one batch of networks and reduce its outputs.
 
-    Returns the output-product sums per jackknife shard, (n_shards, n, n),
-    and the first four raw power sums of output unit 0, (4, n).
+    Returns the sum of the output-product matrices, (n, n), and the first
+    four raw power sums of output unit 0, (4, n).
     """
     rng = np.random.default_rng(stream)
-    batch, n = shard_ids.size, l0.shape[0]
+    n = l0.shape[0]
     z = l0 @ rng.standard_normal((batch, n, widths[0]))
     for layer in range(1, hp.depth + 1):
         # drop each layer's arrays as soon as they are used: at most two
@@ -96,13 +99,10 @@ def _batch_sums(l0: np.ndarray, hp: NetworkHyperparams, act: Activation,
         width_out = widths[layer] if layer < hp.depth else units
         z = _psd_factor(cov) @ rng.standard_normal((batch, n, width_out))
 
-    grams = z @ z.swapaxes(1, 2) / units
-    shard_sums = np.zeros((n_shards, n, n))
-    for shard in np.unique(shard_ids):
-        shard_sums[shard] = grams[shard_ids == shard].sum(axis=0)
+    gram_sum = (z @ z.swapaxes(1, 2) / units).sum(axis=0)
     out = z[:, :, 0]
     power_sums = np.stack([(out ** p).sum(axis=0) for p in range(1, 5)])
-    return shard_sums, power_sums
+    return gram_sum, power_sums
 
 
 def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
@@ -115,49 +115,48 @@ def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
     _common_squared_norm(x)
     if len(widths) != hp.depth:
         raise ValueError(f"{len(widths)} widths for depth {hp.depth}")
-    if any(int(w) != w or w < 1 for w in widths):
+    if not all(float(w).is_integer() and w >= 1 for w in widths):
         raise ValueError(f"widths must be integers >= 1, got {widths}")
+    widths = tuple(int(w) for w in widths)
     if n_networks < 1:
         raise ValueError(f"n_networks must be >= 1, got {n_networks}")
     act = get_activation(hp.phi)
     n, d_in = x.shape
     l0 = _psd_factor(hp.sigma_w2 * (x @ x.T / d_in) + hp.sigma_b2)
 
-    n_shards = min(_JACKKNIFE_SHARDS, n_networks)
-    shard_of = np.arange(n_networks) * n_shards // n_networks
     plan = _batch_plan(n_networks, n, max(widths + (units,)))
     streams = np.random.SeedSequence(seed).spawn(len(plan))
 
-    # up to one batch in flight per core; the main thread adds the partial
+    # up to one batch in flight per core; the main thread takes the partial
     # sums in batch order, so the result does not depend on the core count
     workers = len(os.sched_getaffinity(0))
-    shard_sums = np.zeros((n_shards, n, n))
+    gram_sums = []
     power_sums = np.zeros((4, n))
     pool = ThreadPoolExecutor(max_workers=workers)
 
-    def submit(shard_ids, stream):
-        return pool.submit(_batch_sums, l0, hp, act, widths, units, shard_ids,
-                           n_shards, stream)
+    def submit(batch, stream):
+        return pool.submit(_batch_sums, l0, hp, act, widths, units, batch, stream)
 
-    batches = zip(np.split(shard_of, np.cumsum(plan)[:-1]), streams)
+    batches = zip(plan, streams)
     try:
         pending = deque(submit(*b) for b in islice(batches, workers))
         while pending:
-            shards, powers = pending.popleft().result()
+            grams, powers = pending.popleft().result()
             pending.extend(submit(*b) for b in islice(batches, 1))
-            shard_sums += shards
+            gram_sums.append(grams)
             power_sums += powers
     finally:
         pool.shutdown(cancel_futures=True)
 
-    total = shard_sums.sum(axis=0)
+    # delete-one jackknife with the batches as the groups
+    gram_sums = np.stack(gram_sums)
+    total = gram_sums.sum(axis=0)
     empirical = total / n_networks
-    if n_shards > 1:
-        shard_counts = np.bincount(shard_of, minlength=n_shards)
-        loo = (total[None] - shard_sums) / (n_networks - shard_counts)[:, None, None]
+    n_groups = len(plan)
+    if n_groups > 1:
+        loo = (total - gram_sums) / (n_networks - np.array(plan))[:, None, None]
         center = loo.mean(axis=0)
-        stderr = np.sqrt((n_shards - 1) / n_shards
-                         * ((loo - center) ** 2).sum(axis=0))
+        stderr = np.sqrt((n_groups - 1) / n_groups * ((loo - center) ** 2).sum(axis=0))
     else:
         stderr = np.full((n, n), np.nan)
     # skewness and excess kurtosis from the raw moments E[f^p], p = 1..4
@@ -181,10 +180,11 @@ def sample_empirical_kernel(points: np.ndarray, hp: NetworkHyperparams,
     statistics of output unit 0 (see :func:`gaussianity_check`).
     ``average_units`` > 1 averages the product over that many i.i.d. output
     units per network (variance reduction only; unbiased either way).
-    Standard errors come from a delete-one jackknife over 10 contiguous
-    shards of the network sample.
+    Standard errors come from a delete-one jackknife whose groups are the
+    sampling batches: at least 40 of them, or one per network when there
+    are fewer.
     """
-    widths = tuple(int(w) for w in np.atleast_1d(widths))
+    widths = tuple(np.atleast_1d(widths).tolist())
     return _sample(points, hp, widths, n_networks, seed, units=average_units)
 
 
@@ -196,5 +196,5 @@ def gaussianity_check(points: np.ndarray, hp: NetworkHyperparams, width: int,
     (central limit behaviour of the last-layer sum); a width-1 network is
     visibly non-Gaussian.
     """
-    widths = (int(width),) * hp.depth
+    widths = (width,) * hp.depth
     return _sample(points, hp, widths, n_networks, seed, units=1)

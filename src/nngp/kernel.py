@@ -196,11 +196,11 @@ class _Bracket:
         # zero or subnormal norms leave no finite bucket width: one bucket
         # then holds every node and every entry, and np.interp reads them all
         self.per_unit = per_unit if math.isfinite(per_unit) else 0.0
-        node_bucket = self.bucket(nodes)
-        self.cut = int(np.flatnonzero(np.bincount(node_bucket) > 2)[0])
+        counts = np.bincount(self.bucket(nodes))
+        self.cut = int(np.flatnonzero(counts > 2)[0])
         # nodes below each bucket up to the cut; np.take(..., mode="clip")
         # reads buckets under 0 as 0 and buckets past the cut as the cut
-        self.first = np.searchsorted(node_bucket, np.arange(self.cut + 1))
+        self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
 
     def bucket(self, v: np.ndarray) -> np.ndarray:
         b = v * self.per_unit

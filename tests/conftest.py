@@ -15,6 +15,7 @@ from nngp import (
     build_grid,
     build_kernel_matrix,
     find_mnist,
+    full_kernel,
     load_or_build,
     populate,
     preprocess,
@@ -81,19 +82,7 @@ def mc_kernel(mc_points, tanh_table):
 @pytest.fixture(scope="session")
 def mc_kernel_exact(mc_points):
     """K^3 by pairwise direct quadrature, free of interpolation error."""
-    from nngp import expectation_direct
-
-    x = mc_points
-    n, d_in = x.shape
-    k = MC_HP.sigma_b2 + MC_HP.sigma_w2 * (x @ x.T) / d_in
-    for _ in range(MC_HP.depth):
-        nxt = np.empty_like(k)
-        for a in range(n):
-            for b in range(a, n):
-                f = expectation_direct("tanh", k[a, b], k[a, a], k[b, b])
-                nxt[a, b] = nxt[b, a] = MC_HP.sigma_b2 + MC_HP.sigma_w2 * f
-        k = nxt
-    return k
+    return full_kernel(mc_points, MC_HP, None)
 
 
 @pytest.fixture(scope="session")

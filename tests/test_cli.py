@@ -153,6 +153,17 @@ def test_verify_json(tmp_path):
     assert len(payload["excess_kurtosis"]) == 3
 
 
+def test_verify_seed_one_within_six_stderr(tmp_path):
+    # the benchmark's verify point on correct code: a jackknife over ten
+    # groups (9 degrees of freedom) read 6.01 standard errors here
+    out = tmp_path / "verify.json"
+    rc = run_cli("verify", "--phi", "tanh", "--depth", "3", "--sw2", "1.5",
+                 "--sb2", "0.1", "--width", "1024", "--networks", "2000",
+                 "--seed", "1", "--out", str(out))
+    assert rc == 0
+    assert json.loads(out.read_text())["max_deviation_in_stderr"] < 6.0
+
+
 def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
     from nngp import (NetworkHyperparams, build_kernel_matrix, finite_width,
                       gaussianity_check, load_or_build, sample_empirical_kernel)

@@ -69,6 +69,27 @@ def test_empirical_kernel_symmetric_positive_diagonal():
     assert np.all(np.diag(sample.empirical_k) > 0.0)
 
 
+def test_fractional_widths_are_refused_as_given():
+    # widths are checked before they become integers: 2.7 is not read as 2
+    pts = constant_norm_points(2, 4, seed=8)
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.0, sigma_b2=0.0, phi="relu")
+    with pytest.raises(ValueError, match=r"2\.7, 3\.9"):
+        sample_empirical_kernel(pts, hp, (2.7, 3.9), 50, seed=0)
+    with pytest.raises(ValueError, match=r"0\.5"):
+        sample_empirical_kernel(pts, hp, (0.5, 3), 50, seed=0)
+    # integral floats are widths like any other
+    a = sample_empirical_kernel(pts, hp, (2.0, 3.0), 50, seed=0)
+    b = sample_empirical_kernel(pts, hp, (2, 3), 50, seed=0)
+    np.testing.assert_array_equal(a.empirical_k, b.empirical_k)
+
+
+def test_gaussianity_check_refuses_a_fractional_width():
+    pts = constant_norm_points(2, 4, seed=8)
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.0, sigma_b2=0.0, phi="relu")
+    with pytest.raises(ValueError, match=r"2\.5"):
+        gaussianity_check(pts, hp, 2.5, 50, seed=0)
+
+
 def test_widths_must_match_depth():
     pts = constant_norm_points(2, 4, seed=8)
     hp = NetworkHyperparams(depth=3, sigma_w2=1.0, sigma_b2=0.0, phi="relu")
@@ -88,11 +109,11 @@ def _pin_cores(monkeypatch, n_cores):
 
 
 def test_failing_batch_stops_the_run(monkeypatch):
-    # four batches of 500 on two workers: the first batch's error reaches the
+    # forty batches of 50 on two workers: the first batch's error reaches the
     # caller, the batches never started stay unrun and no worker outlives the call
     pts = constant_norm_points(5, 16, seed=9)
     hp = NetworkHyperparams(depth=2, sigma_w2=1e200, sigma_b2=0.0, phi="relu")
-    assert finite_width._batch_plan(2000, 5, 1024) == [500] * 4
+    assert finite_width._batch_plan(2000, 5, 1024) == [50] * 40
     _pin_cores(monkeypatch, 2)
     started = []
     batch_sums = finite_width._batch_sums
@@ -111,16 +132,19 @@ def test_failing_batch_stops_the_run(monkeypatch):
 
 def test_result_independent_of_core_count(monkeypatch):
     # the batch plan and the reduction order do not depend on the worker
-    # count, also with more workers than batches
+    # count, also with more workers than batches (three networks on five cores)
     pts = constant_norm_points(5, 16, seed=21)
     hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
-    assert len(finite_width._batch_plan(2000, 5, 1024)) == 4
+    assert len(finite_width._batch_plan(2000, 5, 1024)) == 40
+    assert len(finite_width._batch_plan(3, 5, 1024)) == 3
 
     def run(n_cores):
         _pin_cores(monkeypatch, n_cores)
         sample = sample_empirical_kernel(pts, hp, (1024,) * 3, 2000, seed=3)
         stats = gaussianity_check(pts, hp, 1024, 2000, seed=3)
-        return sample.empirical_k, sample.stderr, stats.skewness, stats.excess_kurtosis
+        few = sample_empirical_kernel(pts, hp, (1024,) * 3, 3, seed=3)
+        return (sample.empirical_k, sample.stderr, stats.skewness, stats.excess_kurtosis,
+                few.empirical_k, few.stderr, few.skewness)
 
     one_core = run(1)
     for n_cores in (2, 5):
@@ -152,7 +176,8 @@ def test_batch_plan_splits_evenly_within_budget():
         assert sum(plan) == n_networks
         assert max(plan) - min(plan) <= 1
         assert max(plan) == 1 or max(plan) * n_points * width <= budget
-    assert finite_width._batch_plan(2000, 5, 1024) == [500] * 4
+        assert len(plan) >= min(finite_width._MIN_BATCHES, n_networks)
+    assert finite_width._batch_plan(2000, 5, 1024) == [50] * 40
 
 
 def test_average_units_reduces_scatter(tanh_table):

@@ -6,8 +6,9 @@ perfbench/tracing.py replaces ``module.attribute`` for every entry of its
 break traced benchmark runs only, so the names are checked here, and a
 small traced run checks that the counts the spans read still exist. The
 workloads' checks call the library outside those points too, so the run
-workload's checks run here on a small instance, and the phase and
-table-build workloads' at full size (about half a second and a second).
+workload's checks run here on a small instance, and the phase, table-build
+and verify workloads' at full size (about half a second, a second and two
+seconds).
 """
 
 import importlib
@@ -83,6 +84,20 @@ def test_table_build_workload_checks_pass_and_op_repeats(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     wl = workloads.TableBuildWorkload()
+    state = wl.setup(seed=1, out_dir=tmp_path)
+    first, second = wl.op(state), wl.op(state)
+    _, checks = wl.checks(state, first)
+    assert all(check.ok for check in checks), checks
+    assert wl.digest(state, first) == wl.digest(state, second)
+
+
+def test_verify_workload_checks_pass_and_op_repeats(monkeypatch, tmp_path):
+    # VerifyWorkload's op is the nngp verify path (kernel, then the Monte-Carlo
+    # sample); its check reads the deviation in jackknife standard errors, and
+    # two runs of op give one digest
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.VerifyWorkload()
     state = wl.setup(seed=1, out_dir=tmp_path)
     first, second = wl.op(state), wl.op(state)
     _, checks = wl.checks(state, first)
