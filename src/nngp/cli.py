@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lookup
 from .activations import ACTIVATIONS, get_activation
-from .data import DataFormatError, load_csv, preprocess
+from .data import DataFormatError, load_csv, preprocess, synthetic_blobs
 from .experiment import RunConfig, _write_predictions, build_dataset, run_experiment
 from .finite_width import sample_empirical_kernel
 from .kernel import DEFAULT_NOISE, NetworkHyperparams, angular_profile, build_kernel_matrix
@@ -142,10 +142,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    d_in = 16
-    pts = rng.standard_normal((args.points, d_in))
-    pts *= np.sqrt(d_in / np.einsum("ij,ij->i", pts, pts))[:, None]
+    # one blob at the origin: standard normal points, rescaled to ||x||^2 = d_in
+    x, y = synthetic_blobs(args.points, 16, 1, 0.0, args.seed)
+    pts = preprocess(x, y, 1, (args.points, 0, 0), args.seed, shuffle=False).inputs
     hp = NetworkHyperparams(depth=args.depth, sigma_w2=args.sw2, sigma_b2=args.sb2,
                             phi=args.phi)
     table = lookup.load_or_build(args.phi, _grid_from_args(args))

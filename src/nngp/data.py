@@ -39,10 +39,8 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    labels: np.ndarray
     split: tuple[int, int, int]
     indices: tuple[np.ndarray, np.ndarray, np.ndarray]
-    norm_constant: float
 
     @property
     def train_inputs(self) -> np.ndarray:
@@ -74,9 +72,8 @@ class Dataset:
             raise ValueError(f"n_train = {n_train} outside [0, {self.split[0]}], the train split")
         tr, va, te = self.indices
         return Dataset(
-            inputs=self.inputs, targets=self.targets, labels=self.labels,
-            split=(n_train, self.split[1], self.split[2]),
-            indices=(tr[:n_train], va, te), norm_constant=self.norm_constant,
+            inputs=self.inputs, targets=self.targets,
+            split=(n_train, self.split[1], self.split[2]), indices=(tr[:n_train], va, te),
         )
 
 
@@ -214,8 +211,7 @@ def preprocess(inputs: np.ndarray, labels: np.ndarray, d_out: int,
     perm = np.random.default_rng(seed).permutation(n) if shuffle else np.arange(n)
     a, b, c = split_sizes
     indices = (perm[:a], perm[a:a + b], perm[a + b:a + b + c])
-    return Dataset(inputs=x, targets=targets, labels=y.astype(np.int64),
-                   split=(a, b, c), indices=indices, norm_constant=float(d_in))
+    return Dataset(inputs=x, targets=targets, split=(a, b, c), indices=indices)
 
 
 def synthetic_blobs(n: int, d_in: int, n_classes: int, separation: float,

@@ -14,12 +14,14 @@ finite width, so the sampled joint law of the outputs is identical to
 materializing every weight matrix, at a fraction of the random-number cost.
 The networks are split into min(_MIN_BATCHES, n_networks) near-equal
 batches, or into more when a batch array would hold over
-_BATCH_VALUE_BUDGET values (networks x points x widest layer, output units
-included). Each batch draws from its own child generator spawned from the
-seed, and the batches are the groups of the delete-one jackknife that gives
-the standard errors. The batches run on a thread pool with one worker per
-available core, at most one batch per worker in flight; numpy's random
-fills, tanh, matmul and eigh release the interpreter lock, so they overlap.
+_BATCH_VALUE_BUDGET values: networks x points x the larger of the widest
+layer (output units included) and the point count, as each network holds
+(points, width) activations and (points, points) covariances. Each batch
+draws from its own child generator spawned from the seed, and the batches
+are the groups of the delete-one jackknife that gives the standard errors.
+The batches run on a thread pool with one worker per available core, at
+most one batch per worker in flight; numpy's random fills, tanh, matmul and
+eigh release the interpreter lock, so they overlap.
 The plan depends only on (n_networks, n_points, widths, units), never on the
 core count, and the main thread keeps the batches' partial sums in batch
 order, so everything is deterministic given (seed, widths, n_networks) and
@@ -66,8 +68,9 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 def _batch_plan(n_networks: int, n_points: int, max_width: int) -> list[int]:
     """Near-equal batch sizes, at least min(_MIN_BATCHES, n_networks) of them,
-    whose n_points x max_width values fit the budget."""
-    cap = max(1, _BATCH_VALUE_BUDGET // (n_points * max_width))
+    whose n_points x max(max_width, n_points) values per network fit the
+    budget: (points, width) activations, (points, points) covariances."""
+    cap = max(1, _BATCH_VALUE_BUDGET // (n_points * max(max_width, n_points)))
     n_batches = max(-(-n_networks // cap), min(_MIN_BATCHES, n_networks))
     base, rem = divmod(n_networks, n_batches)
     return [base + 1] * rem + [base] * (n_batches - rem)

@@ -15,6 +15,8 @@ all inputs rescaled to a common norm every diagonal entry is identical at
 every layer and K_L(x, x') depends only on the cosine x . x' / d_in, so the
 layer map is composed once over m fixed base cosines and every entry is
 interpolated from the input Gram: O(depth m + n^2), not O(depth n^2). The
+layer variance q_l = K_l(x, x) is the same recursion at x' = x, so it is the
+composed row's entry at cosine 1; no second recursion runs beside it. The
 interpolation finds each entry's interval with an O(1) bracket (equal-width
 buckets over the cosine axis) and returns np.interp's value bit for bit, in
 row blocks of the Gram, so the n^2 term has a small constant and the only
@@ -126,7 +128,7 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
     """Advance covariances k (scalar or array) one layer at shared variance q.
 
     This is the one place the step sigma_b^2 + sigma_w^2 F(k, q) is applied
-    to constant-norm covariances; pass k = q to advance the variance itself.
+    to constant-norm covariances; the entry k = q advances the variance itself.
     Without a table the activation's closed-form F is used.
     """
     if table is not None:
@@ -156,16 +158,21 @@ def _common_squared_norm(x: np.ndarray) -> float:
     return float(norms.mean())
 
 
-def _compose(k: np.ndarray, q: float, hp: NetworkHyperparams,
-             table: LookupTable | None) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's one loop over layers: rows k_0..k_depth of k, and q_0..q_depth."""
+def _compose(k: np.ndarray, unit: int, hp: NetworkHyperparams,
+             table: LookupTable | None) -> np.ndarray:
+    """The kernel's one loop over layers: rows k_0..k_depth of base covariances k.
+
+    k[unit] is at cosine 1, so column unit holds the layer variances q_0..q_depth:
+    each layer is stepped at the previous row's own cosine-1 entry."""
+    if table is not None and k[unit] > table.grid.s_max:
+        raise TableRangeError(
+            f"layer 0: base variance {k[unit]} exceeds s_max = {table.grid.s_max}"
+        )
     rows = np.empty((hp.depth + 1, k.size))
-    qs = np.empty(hp.depth + 1)
-    rows[0], qs[0] = k, q
+    rows[0] = k
     for layer in range(1, hp.depth + 1):
-        rows[layer] = _layer_map(rows[layer - 1], qs[layer - 1], hp, table, layer)
-        qs[layer] = _layer_map(qs[layer - 1], qs[layer - 1], hp, table, layer)
-    return rows, qs
+        rows[layer] = _layer_map(rows[layer - 1], rows[layer - 1, unit], hp, table, layer)
+    return rows
 
 
 # base cosines of the composition: spacing 2e-3 (finer than the default
@@ -252,12 +259,8 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
     n_all, d_in = x_all.shape
     rho = _common_squared_norm(x_all) / d_in
 
-    q = hp.sigma_b2 + hp.sigma_w2 * rho
-    if q > table.grid.s_max:
-        raise TableRangeError(
-            f"layer 0: base variance {q} exceeds s_max = {table.grid.s_max}"
-        )
-    rows, qs = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, q, hp, table)
+    # _TRANSFER_COSINES ends at 1: the last column is the layer variance
+    rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
     scale = rho * d_in  # a cosine in units of the Gram's x . x'
     bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
     gram = x_train @ x_all.T
@@ -276,10 +279,10 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
             square = block[:, : r1 - r0]
             lower = np.tril_indices(r1 - r0, -1)
             square[lower] = square.T[lower]
-            np.fill_diagonal(square, qs[layer])
+            np.fill_diagonal(square, rows[layer, -1])
             out[r1:n_train, r0:r1] = block[:, r1 - r0: n_train - r0].T
             r0 = r1
-        yield KernelMatrix(out, n_train, np.full(n_all - n_train, qs[layer]), layer)
+        yield KernelMatrix(out, n_train, np.full(n_all - n_train, rows[layer, -1]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
@@ -315,8 +318,8 @@ def angular_profile(hp: NetworkHyperparams, table: LookupTable | None = None,
     closed-form step.
     """
     thetas = np.linspace(0.0, math.pi, n_angles)
-    values, _ = _compose(hp.sigma_b2 + hp.sigma_w2 * np.cos(thetas),
-                         hp.sigma_b2 + hp.sigma_w2, hp, table)
+    # theta starts at 0: column 0 is the layer variance
+    values = _compose(hp.sigma_b2 + hp.sigma_w2 * np.cos(thetas), 0, hp, table)
     return AngularProfile(thetas=thetas, values=values)
 
 

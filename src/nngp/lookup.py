@@ -49,6 +49,8 @@ DEFAULT_S_MAX = 100.0
 
 _MAGIC = b"NNGPLUT1"
 _PHI_TAG_BYTES = 16
+# cache file header: magic, phi tag, n_g, n_v, n_c, u_max, s_max
+_HEADER = struct.Struct(f"<8s{_PHI_TAG_BYTES}s3q2d")
 
 
 class GridParameterError(ValueError):
@@ -326,11 +328,8 @@ def save_table(table: LookupTable, path) -> None:
     tag = table.nonlinearity.encode("ascii")
     if len(tag) > _PHI_TAG_BYTES:
         raise ValueError(f"nonlinearity tag longer than {_PHI_TAG_BYTES} bytes")
-    header = struct.pack(
-        f"<8s{_PHI_TAG_BYTES}s3q2d",
-        _MAGIC, tag.ljust(_PHI_TAG_BYTES, b"\0"),
-        grid.n_g, grid.n_v, grid.n_c, grid.u_max, grid.s_max,
-    )
+    header = _HEADER.pack(_MAGIC, tag.ljust(_PHI_TAG_BYTES, b"\0"),
+                          grid.n_g, grid.n_v, grid.n_c, grid.u_max, grid.s_max)
     buf = io.BytesIO()
     buf.write(header)
     buf.write(np.ascontiguousarray(table.f1d, dtype="<f8").tobytes())
@@ -340,11 +339,10 @@ def save_table(table: LookupTable, path) -> None:
 
 def load_table(path) -> LookupTable:
     raw = Path(path).read_bytes()
-    head_fmt = f"<8s{_PHI_TAG_BYTES}s3q2d"
-    head_size = struct.calcsize(head_fmt)
+    head_size = _HEADER.size
     if len(raw) < head_size:
         raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, tag, n_g, n_v, n_c, u_max, s_max = struct.unpack_from(head_fmt, raw)
+    magic, tag, n_g, n_v, n_c, u_max, s_max = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
     act = get_activation(tag.rstrip(b"\0").decode("ascii"))  # unknown tag fails here

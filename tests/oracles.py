@@ -207,11 +207,10 @@ def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
     x_all = x_train if x_test is None else np.vstack([x_train, x_test])
     n_train, d_in = x_train.shape[0], x_all.shape[1]
     rho = float(np.einsum("ij,ij->i", x_all, x_all).mean()) / d_in
-    rows, qs = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES,
-                        hp.sigma_b2 + hp.sigma_w2 * rho, hp, table)
+    rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
     k = np.interp(x_train @ x_all.T, rho * d_in * _TRANSFER_COSINES, rows[layer])
     kdd = k[:, :n_train]
     lower = np.tril_indices(n_train, -1)
     kdd[lower] = kdd.T[lower]
-    np.fill_diagonal(kdd, qs[layer])
+    np.fill_diagonal(kdd, rows[layer, -1])
     return k

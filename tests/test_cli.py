@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,20 +155,29 @@ def test_verify_json(tmp_path):
     assert len(payload["excess_kurtosis"]) == 3
 
 
-def test_verify_seed_one_within_six_stderr(tmp_path):
-    # the benchmark's verify point on correct code: a jackknife over ten
-    # groups (9 degrees of freedom) read 6.01 standard errors here
+def test_verify_seed_one_within_six_stderr(tmp_path, monkeypatch):
+    # the benchmark's verify point and points on correct code: the jackknife
+    # over the 40 sampling batches reads 1.60 standard errors here
+    from nngp import build_kernel_matrix, load_or_build
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    verify = importlib.import_module("workloads").VerifyWorkload
     out = tmp_path / "verify.json"
     rc = run_cli("verify", "--phi", "tanh", "--depth", "3", "--sw2", "1.5",
                  "--sb2", "0.1", "--width", "1024", "--networks", "2000",
                  "--seed", "1", "--out", str(out))
     assert rc == 0
-    assert json.loads(out.read_text())["max_deviation_in_stderr"] < 6.0
+    payload = json.loads(out.read_text())
+    assert payload["max_deviation_in_stderr"] < 6.0
+    points = verify().setup(1, tmp_path).extra["points"]
+    k = build_kernel_matrix(points, verify.HP, load_or_build("tanh"))
+    assert payload["theoretical"] == k.kdd.tolist()
 
 
 def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
     from nngp import (NetworkHyperparams, build_kernel_matrix, finite_width,
-                      gaussianity_check, load_or_build, sample_empirical_kernel)
+                      gaussianity_check, load_or_build, preprocess,
+                      sample_empirical_kernel, synthetic_blobs)
     from nngp.lookup import build_grid
 
     batches = []
@@ -189,9 +200,8 @@ def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
     # the JSON that separate sample_empirical_kernel and gaussianity_check
     # calls give, on the points cmd_verify draws
     monkeypatch.setattr(finite_width, "_batch_sums", batch_sums)
-    rng = np.random.default_rng(4)
-    pts = rng.standard_normal((3, 16))
-    pts *= np.sqrt(16 / np.einsum("ij,ij->i", pts, pts))[:, None]
+    x, y = synthetic_blobs(3, 16, 1, 0.0, 4)
+    pts = preprocess(x, y, 1, (3, 0, 0), 4, shuffle=False).inputs
     hp = NetworkHyperparams(depth=2, sigma_w2=1.2, sigma_b2=0.2, phi="tanh")
     k = build_kernel_matrix(pts, hp, load_or_build("tanh", build_grid(201, 81, 100, 16.0, 16.0)))
     sample = sample_empirical_kernel(pts, hp, (512, 512), 3000, 4)

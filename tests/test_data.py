@@ -155,7 +155,6 @@ def test_preprocess_rescales_rows_to_input_dimension():
     ds = preprocess(x, y, d_out=4, split_sizes=(20, 5, 5), seed=0)
     np.testing.assert_allclose(np.einsum("ij,ij->i", ds.inputs, ds.inputs), 12.0,
                                rtol=1e-9)
-    assert ds.norm_constant == 12.0
 
 
 def test_preprocess_target_encoding():
@@ -183,7 +182,7 @@ def test_preprocess_idempotent():
     x = rng.standard_normal((40, 8)) * 3.0
     y = rng.integers(0, 10, size=40)
     d1 = preprocess(x, y, d_out=10, split_sizes=(20, 10, 10), seed=9)
-    d2 = preprocess(d1.inputs, d1.labels, d_out=10, split_sizes=(20, 10, 10), seed=9)
+    d2 = preprocess(d1.inputs, y, d_out=10, split_sizes=(20, 10, 10), seed=9)
     np.testing.assert_array_equal(d1.inputs, d2.inputs)
     np.testing.assert_array_equal(d1.targets, d2.targets)
     for a, b in zip(d1.indices, d2.indices):

@@ -114,7 +114,7 @@ def test_run_experiment_on_cifar_batches(tmp_path):
     cfg = synthetic_config(tmp_path, dataset_format="cifar10", dataset_paths={"paths": paths},
                            d_out=2, split=(8, 0, 4))
     cfg.validate()
-    np.testing.assert_array_equal(build_dataset(cfg).labels, labels)
+    np.testing.assert_array_equal(build_dataset(cfg).targets.argmax(axis=1), labels)
     report = run_experiment(cfg)
     assert (report["n_train"], report["n_valid"], report["n_test"]) == (8, 0, 4)
     assert report["accuracy"] == 1.0
@@ -138,7 +138,7 @@ def test_run_experiment_on_mnist_idx_files(tmp_path):
                            split=(24, 6, 10))
     cfg.validate()
     # the train archive first, then the test archive, in file order
-    np.testing.assert_array_equal(build_dataset(cfg).labels, labels)
+    np.testing.assert_array_equal(build_dataset(cfg).targets.argmax(axis=1), labels)
     report = run_experiment(cfg)
     assert (report["n_train"], report["n_valid"], report["n_test"]) == (24, 6, 10)
     assert report["accuracy"] == 1.0

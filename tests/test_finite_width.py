@@ -170,12 +170,14 @@ def test_batch_plan_bounds_peak_memory(monkeypatch):
 
 def test_batch_plan_splits_evenly_within_budget():
     budget = finite_width._BATCH_VALUE_BUDGET
+    # a batch holds (points, width) activations and (points, points)
+    # covariances per network: 200 points at width 2 are budgeted by points
     for n_networks, n_points, width in [(2000, 5, 1024), (3000, 20, 256), (7, 3, 8),
-                                        (100_000, 5, 256), (5, 2, 10**7)]:
+                                        (100_000, 5, 256), (5, 2, 10**7), (8000, 200, 2)]:
         plan = finite_width._batch_plan(n_networks, n_points, width)
         assert sum(plan) == n_networks
         assert max(plan) - min(plan) <= 1
-        assert max(plan) == 1 or max(plan) * n_points * width <= budget
+        assert max(plan) == 1 or max(plan) * n_points * max(width, n_points) <= budget
         assert len(plan) >= min(finite_width._MIN_BATCHES, n_networks)
     assert finite_width._batch_plan(2000, 5, 1024) == [50] * 40
 
@@ -215,7 +217,7 @@ def test_gaussianity_check_is_the_same_sample():
 
 
 def test_single_network_has_no_shape_and_no_warning():
-    # one network: no spread to normalize by and no jackknife shards
+    # one network: no spread to normalize by and a single jackknife group
     pts = constant_norm_points(3, 8, seed=20)
     hp = NetworkHyperparams(depth=1, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
     with warnings.catch_warnings():

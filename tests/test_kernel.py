@@ -19,7 +19,7 @@ from nngp import (
     sample_prior,
 )
 from nngp.activations import RELU, TANH
-from nngp.kernel import _TRANSFER_COSINES, _compose
+from nngp.kernel import _TRANSFER_COSINES, _common_squared_norm, _compose, _layer_map
 
 from .conftest import constant_norm_points
 from .oracles import arccos_kernel, gh_expectation, interp_kernel, per_entry_kernel
@@ -186,6 +186,35 @@ def test_variance_escaping_table_names_layer(small_relu_table, small_tanh_table)
         build_kernel_matrix(x, hp_tanh(depth=2, sw2=20.0, sb2=0.1), small_tanh_table)
 
 
+def test_profile_base_variance_past_table_names_layer_zero(small_tanh_table):
+    # the base variance sb2 + sw2 = 16.5 is past s_max = 16: the profile
+    # reports it as the matrix does, before any layer is stepped
+    with pytest.raises(TableRangeError, match="layer 0: base variance"):
+        angular_profile(hp_tanh(depth=2, sw2=16.0, sb2=0.5), small_tanh_table)
+
+
+@pytest.mark.parametrize("depth", [1, 20, 100])
+@pytest.mark.parametrize("phi", ["relu", "tanh"])
+def test_layer_variance_is_the_scalar_recursion_bitwise(phi, depth, relu_table, tanh_table):
+    # q_l is the composed row's entry at cosine 1; it equals the variance
+    # recursion q <- sb2 + sw2 F(q, q) run on its own, bit for bit
+    table = relu_table if phi == "relu" else tanh_table
+    hp = NetworkHyperparams(depth=depth, sigma_w2=1.45, sigma_b2=0.28, phi=phi)
+    x = constant_norm_points(9, 5, seed=31)
+    q = hp.sigma_b2 + hp.sigma_w2 * _common_squared_norm(x) / 5
+    for k in iter_kernel_layers(x[:6], hp, table, x[6:]):
+        if k.layer > 0:
+            q = _layer_map(q, q, hp, table, k.layer)
+        assert np.all(np.diag(k.kdd) == q) and np.all(k.test_diag == q)
+    if phi == "relu":
+        q = hp.sigma_b2 + hp.sigma_w2
+        variances = angular_profile(hp, None).values[:, 0]
+        for layer in range(hp.depth + 1):
+            if layer > 0:
+                q = _layer_map(q, q, hp, None, layer)
+            assert variances[layer] == q
+
+
 def test_norm_spread_within_tolerance_clamps_to_diagonal(relu_table):
     # squared norms 5e-7 apart pass the common-norm check (1e-6); against the
     # mean norm the long parallel pair has cosine 1 + 8e-8, which clamps to
@@ -333,13 +362,13 @@ def test_transfer_nodes_resolve_gaps_near_unit_cosine(sw2, sb2, depth):
     # rounding are allowed on top of the relative bound.
     hp = hp_relu(depth=depth, sw2=sw2, sb2=sb2)
     c0 = 1.0 - np.geomspace(1e-9, 1.0, 400)
-    exact, q_exact = _compose(sb2 + sw2 * c0, sb2 + sw2, hp, None)
-    gap_ref = q_exact[-1] - exact[-1]
-    ulps = 4.0 * np.spacing(q_exact[-1])
+    exact = _compose(sb2 + sw2 * np.append(c0, 1.0), -1, hp, None)[-1]
+    gap_ref = exact[-1] - exact[:-1]
+    ulps = 4.0 * np.spacing(exact[-1])
 
     def gap_error(nodes):
-        rows, qs = _compose(sb2 + sw2 * nodes, sb2 + sw2, hp, None)
-        gap = qs[-1] - np.interp(c0, nodes, rows[-1])
+        rows = _compose(sb2 + sw2 * nodes, -1, hp, None)
+        gap = rows[-1, -1] - np.interp(c0, nodes, rows[-1])
         return np.abs(gap - gap_ref) - (1e-4 * gap_ref + ulps)
 
     assert gap_error(_TRANSFER_COSINES).max() <= 0.0
@@ -381,7 +410,7 @@ def test_profile_rows_equal_matrix_entries_every_layer(phi, relu_table, tanh_tab
     table = relu_table if phi == "relu" else tanh_table
     hp = NetworkHyperparams(depth=12, sigma_w2=1.6, sigma_b2=0.1, phi=phi)
     c = _TRANSFER_COSINES[::-150]  # 1 (point 0 itself), then 1 - c from 3e-14 to 1.98
-    profile, _ = _compose(hp.sigma_b2 + hp.sigma_w2 * c, hp.sigma_b2 + hp.sigma_w2, hp, table)
+    profile = _compose(hp.sigma_b2 + hp.sigma_w2 * c, 0, hp, table)
     x = 2.0 * np.column_stack([c, np.sqrt(1.0 - c * c), np.zeros((c.size, 2))])
     layers = list(iter_kernel_layers(x, hp, table))
     assert len(layers) == hp.depth + 1
