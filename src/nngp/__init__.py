@@ -26,7 +26,6 @@ from .kernel import (
     NetworkHyperparams,
     analytic_relu_step,
     angular_profile,
-    base_kernel,
     build_kernel_matrix,
     full_kernel,
     iter_kernel_layers,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -59,11 +60,15 @@ def _write_csv(path, header, rows):
 
 def cmd_table_build(args) -> int:
     grid = _grid_from_args(args)
+    cached = lookup.cache_path(args.phi, grid)
+    hit = cached.exists()
+    t0 = time.perf_counter()
     table = lookup.load_or_build(args.phi, grid)
-    path = args.out or lookup.cache_path(args.phi, grid)
+    how = "cached" if hit else f"built in {time.perf_counter() - t0:.2f} s"
+    path = args.out or cached
     if args.out:
         lookup.save_table(table, args.out)
-    print(f"table ready: {path}")
+    print(f"table ready: {path} ({how})")
     return 0
 
 

@@ -98,24 +98,6 @@ class KernelMatrix:
         """Test-train block, (n_test, n_train)."""
         return self.entries[:, self.n_train:].T
 
-    def symmetry_error(self) -> float:
-        k = self.kdd
-        scale = max(float(np.abs(k).max()), 1e-300)
-        return float(np.abs(k - k.T).max()) / scale
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.kdd)[0])
-
-
-def base_kernel(x: np.ndarray, x2: np.ndarray, hp: NetworkHyperparams) -> float:
-    """Input-layer covariance sigma_b^2 + sigma_w^2 (x . x') / d_in."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x.shape != x2.shape or x.ndim != 1:
-        raise ValueError(f"inputs must be 1D of equal dimension, got {x.shape} and {x2.shape}")
-    d_in = x.size
-    return float(hp.sigma_b2 + hp.sigma_w2 * (x @ x2) / d_in)
-
 
 def analytic_relu_step(k_xy, k_xx, k_yy, hp: NetworkHyperparams):
     """Closed-form ReLU step (arccosine kernel): unequal variances, scalars or arrays."""

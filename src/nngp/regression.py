@@ -50,10 +50,15 @@ class PosteriorPrediction:
 
 
 def _factor_with_escalation(kdd: np.ndarray, noise: float):
+    """Lower Cholesky factor of kdd + noise I, escalating the noise on failure.
+
+    The factor reads the upper triangle of ``kdd``, which must be symmetric:
+    the F-order copy of ``kdd.T`` is a row-by-row copy of a C-strided kdd.
+    """
     current = float(noise)
     for _ in range(_MAX_NOISE_RETRIES + 1):
         # each attempt factors a fresh copy in place; kdd itself is never written
-        a = np.array(kdd, order="F")
+        a = np.array(kdd.T, order="F")
         np.fill_diagonal(a, a.diagonal() + current)
         try:
             return cho_factor(a, lower=True, overwrite_a=True), current

@@ -59,6 +59,28 @@ def relu_f_closed(k_xy: float, k_xx: float, k_yy: float) -> float:
     return denom / (2.0 * np.pi) * (np.sin(theta) + (np.pi - theta) * c)
 
 
+def base_kernel(x: np.ndarray, x2: np.ndarray, hp) -> float:
+    """Input-layer covariance sigma_b^2 + sigma_w^2 (x . x') / d_in."""
+    x = np.asarray(x, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    if x.shape != x2.shape or x.ndim != 1:
+        raise ValueError(f"inputs must be 1D of equal dimension, got {x.shape} and {x2.shape}")
+    d_in = x.size
+    return float(hp.sigma_b2 + hp.sigma_w2 * (x @ x2) / d_in)
+
+
+def symmetry_error(k) -> float:
+    """Largest asymmetry of a KernelMatrix's train-train block, relative to its largest entry."""
+    kdd = k.kdd
+    scale = max(float(np.abs(kdd).max()), 1e-300)
+    return float(np.abs(kdd - kdd.T).max()) / scale
+
+
+def min_eigenvalue(k) -> float:
+    """Smallest eigenvalue of a KernelMatrix's train-train block."""
+    return float(np.linalg.eigvalsh(k.kdd)[0])
+
+
 def brute_posterior(kdd: np.ndarray, kxd: np.ndarray, kxx_diag: np.ndarray,
                     targets: np.ndarray, noise: float):
     """Dense-inverse posterior mean and variance, the textbook formulas."""

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,18 @@ def write_blob_csv(path, n, seed, d_in=8, d_out=4):
             w.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def test_table_build(tmp_path, capsys):
+def test_table_build(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NNGP_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "t.lut"
     rc = run_cli("table", "build", "--phi", "relu", *small_grid_args(),
                  "--out", str(out))
     assert rc == 0
     assert out.exists()
-    assert "table ready" in capsys.readouterr().out
+    first = capsys.readouterr().out
+    assert "table ready" in first
+    assert re.search(r"\(built in \d+\.\d\d s\)$", first.strip())
+    assert run_cli("table", "build", "--phi", "relu", *small_grid_args()) == 0
+    assert capsys.readouterr().out.strip().endswith("(cached)")
 
 
 def test_kernel_profile_csv(tmp_path):

@@ -1,4 +1,6 @@
+import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nngp import (
     populate,
     save_table,
 )
-from nngp.lookup import cache_path, load_or_build
+from nngp.lookup import _ROW_CHUNK, _fft_pair, cache_path, load_or_build
 
 from .oracles import gh_expectation, gh_moment, relu_f_closed
 
@@ -92,6 +94,74 @@ def test_populate_equals_naive_double_sum(phi_name, phi_fn, n_c):
         for j in rng.integers(0, grid.n_c, size=6):
             want = _naive_cell(phi_fn, grid.u, grid.s[i], grid.c[j])
             assert table.f2d[i, j] == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+def _one_call_tables(grid, phi_fn):
+    """f2d and f1d with every variance row in one _fft_pair call per +-c pair."""
+    phi_u = phi_fn(grid.u)
+    s_pos = grid.s[1:]
+    w1 = np.exp(-np.outer(1.0 / (2.0 * s_pos), grid.u ** 2))
+    f1d = np.concatenate(([phi_fn(0.0) ** 2], (w1 @ (phi_u * phi_u)) / w1.sum(axis=1)))
+    nfft = 1 << int(np.ceil(np.log2(2 * grid.n_g - 1)))
+    lags = np.arange(-(grid.n_g - 1), grid.n_g) * (grid.u[1] - grid.u[0])
+    f2d = np.full((grid.n_v, grid.n_c), phi_fn(0.0) ** 2)
+    for j in range(grid.n_c // 2, grid.n_c):
+        num_pos, num_neg, den = _fft_pair(phi_u, grid.u, s_pos, float(grid.c[j]), lags, nfft)
+        f2d[1:, grid.n_c - 1 - j] = num_neg / den
+        f2d[1:, j] = num_pos / den
+    return f2d, f1d
+
+
+def _pin_cores(monkeypatch, n_cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cores)))
+
+
+# 160 variance rows: chunks of 64, 64 and a ragged 32
+RAGGED_GRID = build_grid(201, 161, 40, 16.0, 16.0)
+
+
+def test_populate_is_the_same_on_any_number_of_cores(monkeypatch):
+    assert len(range(0, RAGGED_GRID.n_v - 1, _ROW_CHUNK)) == 3
+    assert (RAGGED_GRID.n_v - 1) % _ROW_CHUNK != 0
+    tables = []
+    for n_cores in (1, 2):
+        _pin_cores(monkeypatch, n_cores)
+        tables.append(populate(RAGGED_GRID, "tanh"))
+    assert np.array_equal(tables[0].f2d, tables[1].f2d)
+    assert np.array_equal(tables[0].f1d, tables[1].f1d)
+
+
+@pytest.mark.parametrize("phi_name,phi_fn", [("relu", lambda u: np.maximum(u, 0.0)),
+                                             ("tanh", np.tanh)])
+def test_populate_in_row_chunks_equals_one_call_build(phi_name, phi_fn):
+    # on the benchmark's table_build grid the chunks reproduce the one-call
+    # build bit for bit; a ragged last chunk may move the last bits of irfft
+    grid = build_grid(501, 501, 20, None, 100.0)
+    f2d, f1d = _one_call_tables(grid, phi_fn)
+    table = populate(grid, phi_name)
+    assert np.array_equal(table.f2d, f2d)
+    assert np.array_equal(table.f1d, f1d)
+    f2d, f1d = _one_call_tables(RAGGED_GRID, phi_fn)
+    table = populate(RAGGED_GRID, phi_name)
+    np.testing.assert_allclose(table.f2d, f2d, rtol=1e-14, atol=0.0)
+    assert np.array_equal(table.f1d, f1d)
+
+
+def test_populate_peak_memory_is_one_chunk_per_worker(monkeypatch):
+    # 2048 variance rows on two workers: the tables plus each worker's chunk of
+    # work arrays, about six FFT-length rows per variance row (2.84 MiB here,
+    # bound 4.08 MiB); arrays over every variance row at once take 43 MiB
+    _pin_cores(monkeypatch, 2)
+    grid = build_grid(201, 2049, 4, 16.0, 16.0)
+    nfft = 512
+    tracemalloc.start()
+    try:
+        table = populate(grid, "tanh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = table.f2d.nbytes + table.f1d.nbytes
+    assert peak <= outputs + 2 * _ROW_CHUNK * 8 * nfft * 8
 
 
 def test_zero_variance_row_is_phi_of_zero_squared(small_relu_table, small_tanh_table):
