@@ -38,16 +38,24 @@ def _relu(u):
     return np.maximum(u, 0.0)
 
 
+def check_covariance(k_xy, k_xx, k_yy) -> None:
+    """Raise ValueError unless F's arguments are a covariance: k_xx, k_yy >= 0 and
+    |k_xy| <= sqrt(k_xx k_yy) up to roundoff. Arrays broadcast; the message
+    names the first offending entry."""
+    # a negative variance is flagged on its own; |k_xx k_yy| keeps it out of the root
+    bad = (np.less(k_xx, 0.0) | np.less(k_yy, 0.0)
+           | (np.abs(k_xy) > np.sqrt(np.abs(k_xx * k_yy)) * (1.0 + 1e-8) + 1e-15))
+    if bad.any():
+        k_xy, k_xx, k_yy, bad = np.broadcast_arrays(k_xy, k_xx, k_yy, bad)
+        at = np.argmax(bad)
+        raise ValueError(f"F needs non-negative variances and |k_xy| <= sqrt(k_xx k_yy), got "
+                         f"k_xy = {k_xy.flat[at]}, k_xx = {k_xx.flat[at]}, k_yy = {k_yy.flat[at]}")
+
+
 def _arccos_expectation(k_xy, k_xx, k_yy):
     """E[relu(u)relu(v)], scalars or broadcastable arrays; 0 where a variance is 0."""
-    k_xx = np.asarray(k_xx, dtype=np.float64)
-    k_yy = np.asarray(k_yy, dtype=np.float64)
-    k_xy = np.asarray(k_xy, dtype=np.float64)
-    if np.any(k_xx < 0.0) or np.any(k_yy < 0.0):
-        raise ValueError("marginal variances must be non-negative")
+    check_covariance(k_xy, k_xx, k_yy)
     denom = np.sqrt(k_xx * k_yy)
-    if np.any(np.abs(k_xy) > denom * (1.0 + 1e-8) + 1e-15):
-        raise ValueError("|k_xy| <= sqrt(k_xx k_yy) violated")
     cos_t = np.clip(k_xy / np.where(denom > 0.0, denom, 1.0), -1.0, 1.0)
     theta = np.arccos(cos_t)
     return denom / (2.0 * np.pi) * (np.sin(theta) + (np.pi - theta) * cos_t)

@@ -114,6 +114,8 @@ class RunConfig:
             if unknown:
                 raise ValueError(f"unknown {section} keys {', '.join(unknown)}; "
                                  f"known keys: {', '.join(known)}")
+        self.hyperparams()  # built for their own checks, before any data is read
+        build_grid(**self.grid)
         for key, value in self.dataset_paths.items():
             paths = value if isinstance(value, list) else [value]
             for p in paths:

@@ -24,8 +24,8 @@ most one batch per worker in flight; numpy's random fills, tanh, matmul and
 eigh release the interpreter lock, so they overlap.
 The plan depends only on (n_networks, n_points, widths, units), never on the
 core count, and the main thread keeps the batches' partial sums in batch
-order, so everything is deterministic given (seed, widths, n_networks) and
-bit-identical on any number of cores.
+order in one array, so everything is deterministic given (seed, widths,
+n_networks) and bit-identical on any number of cores.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class FiniteNetSample:
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Batched factor L with L L^T = cov, tolerating singular matrices."""
     w, v = np.linalg.eigh(cov)
-    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    v *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return v
 
 
 def _batch_plan(n_networks: int, n_points: int, max_width: int) -> list[int]:
@@ -100,7 +101,10 @@ def _batch_sums(l0: np.ndarray, hp: NetworkHyperparams, act: Activation,
                 f"layer {layer}: non-finite activations (exploding variance)"
             )
         width_out = widths[layer] if layer < hp.depth else units
-        z = _psd_factor(cov) @ rng.standard_normal((batch, n, width_out))
+        factor = _psd_factor(cov)
+        del cov
+        z = factor @ rng.standard_normal((batch, n, width_out))
+        del factor
 
     gram_sum = (z @ z.swapaxes(1, 2) / units).sum(axis=0)
     out = z[:, :, 0]
@@ -133,7 +137,8 @@ def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
     # up to one batch in flight per core; the main thread takes the partial
     # sums in batch order, so the result does not depend on the core count
     workers = len(os.sched_getaffinity(0))
-    gram_sums = []
+    n_groups = len(plan)
+    gram_sums = np.empty((n_groups, n, n))
     power_sums = np.zeros((4, n))
     pool = ThreadPoolExecutor(max_workers=workers)
 
@@ -143,23 +148,23 @@ def _sample(points: np.ndarray, hp: NetworkHyperparams, widths: tuple[int, ...],
     batches = zip(plan, streams)
     try:
         pending = deque(submit(*b) for b in islice(batches, workers))
-        while pending:
+        for group in range(n_groups):
             grams, powers = pending.popleft().result()
             pending.extend(submit(*b) for b in islice(batches, 1))
-            gram_sums.append(grams)
+            gram_sums[group] = grams
             power_sums += powers
     finally:
         pool.shutdown(cancel_futures=True)
 
-    # delete-one jackknife with the batches as the groups
-    gram_sums = np.stack(gram_sums)
+    # delete-one jackknife with the batches as the groups, in place on their sums
     total = gram_sums.sum(axis=0)
     empirical = total / n_networks
-    n_groups = len(plan)
     if n_groups > 1:
-        loo = (total - gram_sums) / (n_networks - np.array(plan))[:, None, None]
-        center = loo.mean(axis=0)
-        stderr = np.sqrt((n_groups - 1) / n_groups * ((loo - center) ** 2).sum(axis=0))
+        loo = np.subtract(total, gram_sums, out=gram_sums)
+        loo /= (n_networks - np.array(plan))[:, None, None]
+        loo -= loo.mean(axis=0)
+        np.square(loo, out=loo)
+        stderr = np.sqrt((n_groups - 1) / n_groups * loo.sum(axis=0))
     else:
         stderr = np.full((n, n), np.nan)
     # skewness and excess kurtosis from the raw moments E[f^p], p = 1..4

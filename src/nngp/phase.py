@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset
 from .kernel import NetworkHyperparams, _layer_map, build_kernel_matrix
 # phase does not call interpolate; perfbench/tracing.py patches nngp.phase.interpolate by name
-from .lookup import LookupTable, interpolate, load_or_build  # noqa: F401
+from .lookup import LookupTable, interpolate  # noqa: F401
 from .regression import evaluate, posterior
 
 _Q_DIVERGENCE = 1e6
@@ -45,7 +45,7 @@ def variance_grid(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.1, 5.0, cells), np.linspace(0.0, 2.0, cells)
 
 
-# default sweep protocol: 30 x 30 grid over the two variances
+# the sweep protocol's 30 x 30 grid over the two variances (the CLI's default --cells)
 SWEEP_SW2_GRID, SWEEP_SB2_GRID = variance_grid(30)
 
 
@@ -271,10 +271,8 @@ class HeatmapSweep:
         return float(self.sw2_grid[i]), float(self.sb2_grid[j]), float(self.cells[i, j])
 
 
-def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
-                  sw2_grid: np.ndarray = SWEEP_SW2_GRID,
-                  sb2_grid: np.ndarray = SWEEP_SB2_GRID,
-                  table: LookupTable | None = None) -> HeatmapSweep:
+def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
+                  sb2_grid: np.ndarray, table: LookupTable) -> HeatmapSweep:
     """Full kernel build + posterior + accuracy per grid cell.
 
     Accuracy is measured on the validation split; one lookup table is shared
@@ -283,8 +281,6 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int,
     """
     sw2_grid = np.asarray(sw2_grid, float)
     sb2_grid = np.asarray(sb2_grid, float)
-    if table is None:
-        table = load_or_build(phi)
     x_train, t_train = dataset.train_inputs, dataset.train_targets
     x_valid, t_valid = dataset.valid_inputs, dataset.valid_targets
     cells = np.full((sw2_grid.size, sb2_grid.size), math.nan)

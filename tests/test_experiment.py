@@ -200,6 +200,17 @@ def test_config_validated_on_construction():
         RunConfig(dataset_format="synthetic", grid={"nc": 100})
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(depth=0), "depth must be an integer >= 1"),
+    (dict(noise=-1.0), "noise must be finite and >= 0"),
+    (dict(grid={"n_g": 1}), "n_g >= 2 violated"),
+])
+def test_config_checks_model_and_grid_on_construction(bad, match):
+    # before any data is loaded, not first in run_experiment
+    with pytest.raises(ValueError, match=match):
+        RunConfig(dataset_format="synthetic", **bad)
+
+
 def test_config_rejects_unknown_synthetic_keys():
     # misspelt keys would otherwise run with the default split and separation
     with pytest.raises(ValueError, match="unknown synthetic keys n_tests, seperation; "

@@ -168,6 +168,26 @@ def test_batch_plan_bounds_peak_memory(monkeypatch):
     assert peak <= 2.5 * 2 * finite_width._BATCH_VALUE_BUDGET * 8
 
 
+def test_point_dominated_sample_holds_one_jackknife_array(monkeypatch):
+    # 200 points at width 2: each of the 107 batches of 74-75 networks holds
+    # (batch, 200, 200) arrays of the budget's size. With one worker the peak
+    # is two of them (a covariance and its factor) plus the jackknife's one
+    # (batches, 200, 200) array of group sums, overwritten in place
+    pts = constant_norm_points(200, 8, seed=23)
+    hp = NetworkHyperparams(depth=1, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    plan = finite_width._batch_plan(8000, 200, 2)
+    assert len(plan) == 107
+    _pin_cores(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        sample_empirical_kernel(pts, hp, (2,), 8000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    groups_bytes = len(plan) * 200 * 200 * 8
+    assert peak <= groups_bytes + 2.2 * finite_width._BATCH_VALUE_BUDGET * 8
+
+
 def test_batch_plan_splits_evenly_within_budget():
     budget = finite_width._BATCH_VALUE_BUDGET
     # a batch holds (points, width) activations and (points, points)

@@ -18,7 +18,8 @@ from nngp import (
     populate,
     save_table,
 )
-from nngp.lookup import _ROW_CHUNK, _fft_pair, cache_path, load_or_build
+from nngp.activations import RELU
+from nngp.lookup import _ROW_CHUNK, QuadratureGrid, _fft_pair, cache_path, load_or_build
 
 from .oracles import gh_expectation, gh_moment, relu_f_closed
 
@@ -66,6 +67,17 @@ def test_grid_rejects_smax_at_least_umax_squared():
 def test_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(GridParameterError):
         build_grid(**kwargs)
+
+
+def test_grid_is_a_value_of_its_five_parameters():
+    params = dict(n_g=11, n_v=5, n_c=4, u_max=4.0, s_max=9.0)
+    g = build_grid(**params)
+    assert g == build_grid(**params) and hash(g) == hash(build_grid(**params))
+    assert g == QuadratureGrid(11.0, 5.0, 4.0, 4, 9)  # the same numbers, as floats/ints
+    assert len({g, build_grid(**params)}) == 1
+    for name, other in [("n_g", 13), ("n_v", 6), ("n_c", 6), ("u_max", 5.0), ("s_max", 8.0)]:
+        assert g != build_grid(**{**params, name: other}), name
+    assert build_grid() == default_grid()
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +240,24 @@ def test_interpolate_rejects_covariance_above_variance(small_relu_table):
         interpolate(small_relu_table, 3.0, 2.0)
 
 
+@pytest.mark.parametrize("k_xy, k_var", [(3.0, 2.0), (-2.0 * (1 + 2e-8), 2.0),
+                                         (1e-14, 0.0), (0.0, -1.0)])
+def test_every_F_rejects_a_non_covariance_alike(small_relu_table, k_xy, k_var):
+    # the closed form, the table and the quadrature share one argument rule
+    want = (f"F needs non-negative variances and |k_xy| <= sqrt(k_xx k_yy), "
+            f"got k_xy = {k_xy}, k_xx = {k_var}, k_yy = {k_var}")
+    # vectors are reported at their first offending entry
+    vec = np.array([0.0, k_xy])
+    for f in (lambda: RELU.expectation(k_xy, k_var, k_var),
+              lambda: RELU.expectation(vec, k_var, k_var),
+              lambda: interpolate(small_relu_table, k_xy, k_var),
+              lambda: interpolate(small_relu_table, vec, k_var),
+              lambda: expectation_direct("relu", k_xy, k_var, k_var, small_relu_table.grid)):
+        with pytest.raises(ValueError) as exc:
+            f()
+        assert str(exc.value) == want
+
+
 def test_interpolate_scalar_and_vector_agree(small_tanh_table):
     vec = interpolate(small_tanh_table, np.array([0.3, -0.2, 0.9]), 1.0)
     for k_xy, want in zip([0.3, -0.2, 0.9], vec):
@@ -386,3 +416,16 @@ def test_cache_roundtrip(tmp_path):
     assert cache_path("relu", grid, tmp_path).exists()
     second = load_or_build("relu", grid, directory=tmp_path)
     np.testing.assert_array_equal(first.f2d, second.f2d)
+
+
+def test_cache_file_of_another_phi_is_rebuilt(tmp_path):
+    # a tanh table under the ReLU cache name is a miss, not a ReLU table
+    grid = build_grid(51, 5, 6, 4.0, 9.0)
+    path = cache_path("relu", grid, tmp_path)
+    save_table(populate(grid, "tanh"), path)
+    table = load_or_build("relu", grid, directory=tmp_path)
+    want = populate(grid, "relu")
+    assert (table.activation, table.grid) == (want.activation, want.grid)
+    np.testing.assert_array_equal(table.f2d, want.f2d)
+    np.testing.assert_array_equal(table.f1d, want.f1d)
+    assert load_table(path).nonlinearity == "relu"
