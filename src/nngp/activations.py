@@ -76,3 +76,13 @@ def get_activation(phi) -> Activation:
     except KeyError:
         known = ", ".join(sorted(ACTIVATIONS))
         raise ValueError(f"unknown nonlinearity {phi!r}; known tags: {known}") from None
+
+
+def registered_activation(phi) -> Activation:
+    """Resolve phi as :func:`get_activation` does, refusing an Activation that
+    is not the one registered under its name: kernels and cache files record
+    phi by its tag alone."""
+    act = get_activation(phi)
+    if ACTIVATIONS.get(act.name) is not act:
+        raise ValueError(f"nonlinearity {act.name!r} is not registered")
+    return act

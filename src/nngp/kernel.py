@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .activations import ACTIVATIONS, RELU, get_activation
+from .activations import RELU, get_activation, registered_activation
 from .lookup import LookupTable, TableRangeError, expectation_direct, interpolate
 
 DEFAULT_NOISE = 1e-10
@@ -63,10 +63,7 @@ class NetworkHyperparams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        act = get_activation(self.phi)
-        if ACTIVATIONS.get(act.name) is not act:
-            raise ValueError(f"nonlinearity {act.name!r} is not registered")
-        object.__setattr__(self, "phi", act.name)
+        object.__setattr__(self, "phi", registered_activation(self.phi).name)
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,21 @@ class KernelMatrix:
     i.e. the [K_DD | K_D,test] blocks; test-test off-diagonals are never
     computed (only the test diagonal is needed for the posterior variance).
     With no test points ``entries`` is the full symmetric Gram matrix.
+
+    ``entries`` is stored in Fortran order, so ``kdd`` and the cross columns
+    ``entries[:, n_train:]`` are each contiguous: :func:`nngp.regression.posterior`
+    factors ``kdd`` where it sits and solves against the cross columns
+    without copying either. The kernel read-off produces this layout; other
+    arrays are copied into it once.
     """
 
     entries: np.ndarray
     n_train: int
     test_diag: np.ndarray
     layer: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", np.asfortranarray(self.entries))
 
     @property
     def n_test(self) -> int:
@@ -224,13 +230,22 @@ class _Bracket:
         return interp
 
 
+def _mirror_square(square: np.ndarray, diag: float) -> None:
+    """Copy a diagonal block's lower triangle onto its upper one and set its
+    diagonal: a general matrix product need not give a bitwise symmetric Gram.
+    The index arrays are freed on return, before the next block's interpolation."""
+    i, j = np.triu_indices(square.shape[0], 1)
+    square[i, j] = square[j, i]
+    np.fill_diagonal(square, diag)
+
+
 def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTable,
               test_inputs: np.ndarray | None, layers):
     """Yield the KernelMatrix at each of layers, interpolated from the input Gram.
 
-    Row blocks of the train triangle and the cross columns are interpolated
-    and the triangle mirrored; layer depth is written over the Gram. Cosines
-    past the end nodes clamp, to q at c = 1.
+    The Gram is formed as (points, train): row blocks of its train triangle
+    are interpolated and mirrored, then the test rows; layer depth is
+    written over the Gram. Cosines past the end nodes clamp, to q at c = 1.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     n_train = x_train.shape[0]
@@ -245,26 +260,27 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
     rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
     scale = rho * d_in  # a cosine in units of the Gram's x . x'
     bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
-    gram = x_train @ x_all.T
+    # (points, train) in C order: its transpose, the entries, is F order
+    gram = x_all @ x_train.T
     for layer in layers:
         out = gram if layer == hp.depth else np.empty_like(gram)
         interp = bracket.interpolator(rows[layer])
         r0 = 0
         while r0 < n_train:
-            # rows r0:r1 from the diagonal on; the entries left of the
-            # diagonal are mirrored from earlier blocks, and this block's
-            # columns below r1 are no longer read from the Gram
-            r1 = min(n_train, r0 + max(1, _BLOCK_ENTRIES // (n_all - r0)))
-            block = out[r0:r1, r0:]
-            interp(gram[r0:r1, r0:], block)
-            # a general matrix product need not give a bitwise symmetric Gram
-            square = block[:, : r1 - r0]
-            lower = np.tril_indices(r1 - r0, -1)
-            square[lower] = square.T[lower]
-            np.fill_diagonal(square, rows[layer, -1])
-            out[r1:n_train, r0:r1] = block[:, r1 - r0: n_train - r0].T
+            # train rows r0:r1 up to the diagonal, (r1 - r0) r1 <= _BLOCK_ENTRIES
+            # entries; their entries right of the diagonal come from later
+            # blocks, mirrored into rows that are done reading the Gram
+            height = (math.isqrt(r0 * r0 + 4 * _BLOCK_ENTRIES) - r0) // 2
+            r1 = min(n_train, r0 + max(1, height))
+            block = out[r0:r1, :r1]
+            interp(gram[r0:r1, :r1], block)
+            _mirror_square(block[:, r0:], rows[layer, -1])
+            out[:r0, r0:r1] = block[:, :r0].T
             r0 = r1
-        yield KernelMatrix(out, n_train, np.full(n_all - n_train, rows[layer, -1]), layer)
+        step = max(1, _BLOCK_ENTRIES // max(1, n_train))
+        for r0 in range(n_train, n_all, step):
+            interp(gram[r0:r0 + step], out[r0:r0 + step])
+        yield KernelMatrix(out.T, n_train, np.full(n_all - n_train, rows[layer, -1]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,

@@ -32,8 +32,10 @@ builds in 2.3-4.2 s on two Xeon cores.
 Queries are answered by bilinear interpolation, O(1), over a c axis closed
 by nodes at c = +-1 so that correlations near 1 keep their gaps q - K.
 Tables are cached on disk under a name built from phi and the grid; a cache
-file is accepted only when its header's phi and grid equal the request, and
-is rebuilt and rewritten otherwise.
+file is accepted only when its header's magic, phi and grid equal the
+request, and is rebuilt and rewritten otherwise. The magic names the build's
+bits, not only the file format: bump it whenever a change to the build
+changes any table entry, so that tables left by older code are rebuilt.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import Activation, check_covariance, get_activation
+from .activations import Activation, check_covariance, get_activation, registered_activation
 
 DEFAULT_N_G = 501
 DEFAULT_N_V = 501
 DEFAULT_N_C = 500
 DEFAULT_S_MAX = 100.0
 
-_MAGIC = b"NNGPLUT1"
+# names the build's bits: bump it whenever a build change moves any entry
+_MAGIC = b"NNGPLUT2"
 _PHI_TAG_BYTES = 16
 # cache file header: magic, phi tag, n_g, n_v, n_c, u_max, s_max
 _HEADER = struct.Struct(f"<8s{_PHI_TAG_BYTES}s3q2d")
@@ -379,16 +382,20 @@ def load_or_build(phi, grid: QuadratureGrid | None = None, directory=None) -> Lo
     """Return the cached table for (phi, grid), building and caching on miss.
 
     Amortizes the grid-generation cost across experiments; cache location is
-    NNGP_CACHE_DIR or ~/.cache/nngp. A file whose header names another phi or
-    grid is a miss and is overwritten.
+    NNGP_CACHE_DIR or ~/.cache/nngp. ``phi`` must be registered, since the
+    file records it by tag. A file that :func:`load_table` refuses (another
+    magic, a truncated file) or whose header names another phi or grid is a
+    miss and is overwritten.
     """
-    act = get_activation(phi)
+    act = registered_activation(phi)
     grid = default_grid() if grid is None else grid
     path = cache_path(act.name, grid, directory)
-    if path.exists():
+    try:
         table = load_table(path)
         if (table.activation, table.grid) == (act, grid):
             return table
+    except (FileNotFoundError, ValueError):
+        pass
     table = populate(grid, act)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path)

@@ -7,23 +7,31 @@ distribution at each test point is Gaussian with
     variance = K_xx - K_xD (K_DD + eps2 I)^-1 K_xD^T = K_xx - ||L^-1 K_Dx||^2
 
 computed from a single Cholesky factorization L L^T = K_DD + eps2 I shared
-by every target column. If the factorization fails the noise is multiplied
-by 10 and retried, up to a bounded number of attempts. Prior function draws
-use the same escalating factorization.
+by every target column. L is written over the lower triangle of the
+kernel's own K_DD block; the upper triangle keeps the kernel, and the lower
+triangle and diagonal are restored from it when the posterior is done, so
+the kernel is unchanged and no second n_train^2 array is made. The variance
+solve runs over panels of test columns. If the factorization fails the
+noise is multiplied by 10 and retried, up to a bounded number of attempts.
+Prior function draws use the same escalating factorization.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .kernel import DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, full_kernel
 from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
+# test columns per variance solve: the solve's extra memory is n_train x _PANEL
+_PANEL = 512
 
 
 class FactorizationError(ArithmeticError):
@@ -49,24 +57,41 @@ class PosteriorPrediction:
     clamped: int = 0
 
 
-def _factor_with_escalation(kdd: np.ndarray, noise: float):
-    """Lower Cholesky factor of kdd + noise I, escalating the noise on failure.
+def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
+    """Copy a's upper triangle onto its lower one, a column at a time, and set
+    its diagonal to diag."""
+    for j in range(a.shape[0] - 1):
+        a[j + 1:, j] = a[j, j + 1:]
+    np.fill_diagonal(a, diag)
 
-    The factor reads the upper triangle of ``kdd``, which must be symmetric:
-    the F-order copy of ``kdd.T`` is a row-by-row copy of a C-strided kdd.
+
+@contextmanager
+def _factor_with_escalation(a: np.ndarray, noise: float):
+    """Yield the lower Cholesky factor of a + noise I and the noise used,
+    escalating the noise on failure.
+
+    ``a`` is symmetric and F-contiguous. The factor is written over its lower
+    triangle and diagonal; the upper triangle is never written, so a failed
+    attempt, and the exit, restore a from it and a saved diagonal.
     """
+    diag = a.diagonal().copy()
     current = float(noise)
-    for _ in range(_MAX_NOISE_RETRIES + 1):
-        # each attempt factors a fresh copy in place; kdd itself is never written
-        a = np.array(kdd.T, order="F")
-        np.fill_diagonal(a, a.diagonal() + current)
-        try:
-            return cho_factor(a, lower=True, overwrite_a=True), current
-        except np.linalg.LinAlgError:
-            current = DEFAULT_NOISE if current == 0.0 else current * 10.0
-    raise FactorizationError(
-        f"Cholesky failed up to noise variance {current / 10.0}", noise=current / 10.0
-    )
+    try:
+        for _ in range(_MAX_NOISE_RETRIES + 1):
+            np.fill_diagonal(a, diag + current)
+            try:
+                chol, _ = cho_factor(a, lower=True, overwrite_a=True)
+            except np.linalg.LinAlgError:
+                _restore_lower(a, diag)
+                current = DEFAULT_NOISE if current == 0.0 else current * 10.0
+                continue
+            yield chol, current
+            return
+        raise FactorizationError(
+            f"Cholesky failed up to noise variance {current / 10.0}", noise=current / 10.0
+        )
+    finally:
+        _restore_lower(a, diag)
 
 
 def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
@@ -79,14 +104,13 @@ def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
     (see :func:`nngp.kernel.full_kernel`). The kernel is factored with no
     added noise; if Cholesky fails, noise escalates as in :func:`posterior`.
     """
-    k = full_kernel(points, hp, table)
+    k = np.asfortranarray(full_kernel(points, hp, table))
     n = k.shape[0]
     if n_draws == 0:
         return np.empty((0, n))
-    (chol, _), _ = _factor_with_escalation(k, 0.0)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n_draws))
-    return (np.tril(chol) @ z).T
+    z = np.random.default_rng(seed).standard_normal((n, n_draws))
+    with _factor_with_escalation(k, 0.0) as (chol, _):
+        return (np.tril(chol) @ z).T
 
 
 def posterior(k: KernelMatrix, targets: np.ndarray,
@@ -95,7 +119,8 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
     """Predictive mean and variance at the test points of ``k``.
 
     ``noise`` overrides ``hp.noise``; one of the two must be given. The
-    factorization is done once and applied to all target columns.
+    factorization is done once, in ``k.kdd`` itself, and applied to all
+    target columns; ``k`` is unchanged on return.
     """
     if noise is None:
         if hp is None:
@@ -108,11 +133,17 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
         raise ValueError(
             f"targets have {t.shape[0]} rows but kernel has {k.n_train} training points"
         )
-    factor, used = _factor_with_escalation(k.kdd, noise)
-    kxd = k.kxd
-    mean = kxd @ cho_solve(factor, t)
-    w = solve_triangular(factor[0], kxd.T, lower=True)
-    variance = k.test_diag - np.einsum("ij,ij->j", w, w)
+    kdx = k.entries[:, k.n_train:]
+    explained = np.empty(k.n_test)
+    with _factor_with_escalation(k.kdd, noise) as (chol, used):
+        # every BLAS call stays in scipy: numpy's matmul would start numpy's
+        # own OpenBLAS thread pool, which contends with scipy's
+        mean = dgemm(1.0, kdx, cho_solve((chol, True), t), trans_a=True)
+        for p in range(0, k.n_test, _PANEL):
+            w = solve_triangular(chol, kdx[:, p:p + _PANEL], lower=True)
+            explained[p:p + _PANEL] = np.einsum("ij,ij->j", w, w)
+            del w  # before the next panel's solve allocates its own
+    variance = k.test_diag - explained
     neg = variance < 0.0
     clamped = int(neg.sum())
     if np.any(variance < -1e-10):

@@ -230,7 +230,8 @@ def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
     n_train, d_in = x_train.shape[0], x_all.shape[1]
     rho = float(np.einsum("ij,ij->i", x_all, x_all).mean()) / d_in
     rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
-    k = np.interp(x_train @ x_all.T, rho * d_in * _TRANSFER_COSINES, rows[layer])
+    # the kernel's own product: BLAS need not give the same bits for x_train @ x_all.T
+    k = np.interp((x_all @ x_train.T).T, rho * d_in * _TRANSFER_COSINES, rows[layer])
     kdd = k[:, :n_train]
     lower = np.tril_indices(n_train, -1)
     kdd[lower] = kdd.T[lower]

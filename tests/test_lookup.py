@@ -19,7 +19,14 @@ from nngp import (
     save_table,
 )
 from nngp.activations import RELU
-from nngp.lookup import _ROW_CHUNK, QuadratureGrid, _fft_pair, cache_path, load_or_build
+from nngp.lookup import (
+    _ROW_CHUNK,
+    LookupTable,
+    QuadratureGrid,
+    _fft_pair,
+    cache_path,
+    load_or_build,
+)
 
 from .oracles import gh_expectation, gh_moment, relu_f_closed
 
@@ -429,3 +436,30 @@ def test_cache_file_of_another_phi_is_rebuilt(tmp_path):
     np.testing.assert_array_equal(table.f2d, want.f2d)
     np.testing.assert_array_equal(table.f1d, want.f1d)
     assert load_table(path).nonlinearity == "relu"
+
+
+def test_cache_file_of_an_older_build_is_rebuilt(tmp_path):
+    # a file under the previous magic came from older build code: a miss even
+    # though its phi and grid match. A truncated file is a miss as well.
+    grid = build_grid(51, 5, 6, 4.0, 9.0)
+    want = populate(grid, "relu")
+    path = cache_path("relu", grid, tmp_path)
+    save_table(LookupTable(grid, want.f2d + 1e-11, want.f1d, want.activation), path)
+    old = b"NNGPLUT1" + path.read_bytes()[8:]
+    save_table(want, path)
+    truncated = path.read_bytes()[:-16]
+    for stale in (old, truncated):
+        path.write_bytes(stale)
+        table = load_or_build("relu", grid, directory=tmp_path)
+        np.testing.assert_array_equal(table.f2d, want.f2d)
+        np.testing.assert_array_equal(table.f1d, want.f1d)
+        # rewritten: the file now loads, and holds the fresh table
+        np.testing.assert_array_equal(load_table(path).f2d, want.f2d)
+
+
+def test_load_or_build_refuses_an_unregistered_activation(tmp_path):
+    # the file records phi by tag alone, so it could never be read back
+    softsign = Activation("softsign", lambda u: u / (1.0 + np.abs(u)), odd=True)
+    with pytest.raises(ValueError, match="nonlinearity 'softsign' is not registered"):
+        load_or_build(softsign, build_grid(51, 5, 6, 4.0, 9.0), directory=tmp_path)
+    assert not any(tmp_path.iterdir())

@@ -15,6 +15,8 @@ from nngp import (
     sample_prior,
 )
 
+from nngp.regression import _PANEL
+
 from .conftest import constant_norm_points
 from .oracles import brute_posterior
 
@@ -199,6 +201,69 @@ def test_posterior_peak_memory_within_two_train_blocks(tanh_table):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * k.kdd.nbytes
+
+
+def test_posterior_factors_in_the_kernel_buffer(tanh_table):
+    # the factor lives in K_DD's own lower triangle: the extra memory is one
+    # n_train x panel solve block, the n_train^2 bytes of scipy's finiteness
+    # masks and the outputs, with no room for a second n_train^2 float array
+    hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    n_train, n_test, d_out = 1500, 1200, 10
+    k = build_kernel_matrix(constant_norm_points(n_train, 20, seed=8), hp, tanh_table,
+                            constant_norm_points(n_test, 20, seed=9))
+    t = np.random.default_rng(10).standard_normal((n_train, d_out))
+    tracemalloc.start()
+    try:
+        posterior(k, t, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    solve_block = 8 * n_train * min(_PANEL, n_test)
+    masks = n_train * n_train
+    outputs = 8 * ((n_train + n_test) * d_out + 2 * n_test)
+    assert peak <= solve_block + masks + outputs
+    assert solve_block + masks + outputs < k.kdd.nbytes
+
+
+def test_posterior_restores_the_kernel_after_a_late_failed_pivot(tanh_table):
+    # the last training point duplicates the first with its variance lowered,
+    # so every attempt below noise ~1e-6 fails at the last pivot, after the
+    # factor has overwritten all but one column of the lower triangle
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    built = build_kernel_matrix(constant_norm_points(40, 8, seed=12), hp, tanh_table,
+                                constant_norm_points(10, 8, seed=13))
+    e = built.entries.copy()
+    e[39] = e[0]
+    e[:, 39] = e[:, 0]
+    e[39, 39] *= 1.0 - 1e-6
+    k = KernelMatrix(e, 40, built.test_diag, built.layer)
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    before = k.entries.tobytes()
+    pred = posterior(k, t, noise=0.0)
+    assert pred.noise_used > 1e-8
+    assert k.entries.tobytes() == before
+    direct = posterior(k, t, noise=pred.noise_used)
+    assert pred.mean.tobytes() == direct.mean.tobytes()
+    assert pred.variance.tobytes() == direct.variance.tobytes()
+
+
+def test_kernel_blocks_are_column_contiguous(tanh_table):
+    # posterior factors kdd in place and solves against the cross columns
+    # where they sit; a C-order [K_DD | K_D,test] is copied into that layout
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    built = build_kernel_matrix(constant_norm_points(40, 8, seed=12), hp, tanh_table,
+                                constant_norm_points(10, 8, seed=13))
+    c_order = np.ascontiguousarray(np.hstack([built.kdd, built.kxd.T]))
+    assert not c_order.flags.f_contiguous
+    stacked = KernelMatrix(c_order, 40, built.test_diag, built.layer)
+    for k in (built, stacked):
+        assert k.kdd.flags.f_contiguous
+        assert k.entries[:, k.n_train:].flags.f_contiguous
+    assert np.array_equal(stacked.entries, built.entries)
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    a, b = posterior(built, t, hp), posterior(stacked, t, hp)
+    assert a.mean.tobytes() == b.mean.tobytes()
+    assert a.variance.tobytes() == b.variance.tobytes()
 
 
 # ---------------------------------------------------------------------------
