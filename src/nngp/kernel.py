@@ -25,6 +25,13 @@ n^2 buffer is the Gram the kernel is written over.
 Where the activation has F in closed form (ReLU: the arccosine kernel) the
 step needs no table: it checks the lookup pipeline, and steps inputs of
 unequal norm entry by entry, where other nonlinearities use quadrature.
+
+Every matrix product here is scipy's BLAS (:func:`_gram`), never numpy's
+``@``: numpy and scipy each bundle their own OpenBLAS with its own thread
+pool, and the posterior (:mod:`nngp.regression`) runs on scipy's. A kernel
+built on numpy's pool leaves its threads spinning while scipy's start, and on
+a two-core machine the two pools slow each other; with one library, one
+operation wakes one pool.
 """
 
 from __future__ import annotations
@@ -34,12 +41,19 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .activations import RELU, get_activation, registered_activation
 from .lookup import LookupTable, TableRangeError, expectation_direct, interpolate
 
 DEFAULT_NOISE = 1e-10
 _NORM_RTOL = 1e-6
+
+
+def check_nonnegative(name: str, v: float) -> None:
+    """Raise ValueError unless the variance v is finite and >= 0."""
+    if not (np.isfinite(v) and v >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +74,7 @@ class NetworkHyperparams:
         if int(self.depth) != self.depth or self.depth < 1:
             raise ValueError(f"depth must be an integer >= 1, got {self.depth}")
         for name in ("sigma_w2", "sigma_b2", "noise"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            check_nonnegative(name, getattr(self, name))
         object.__setattr__(self, "phi", registered_activation(self.phi).name)
 
 
@@ -230,6 +242,14 @@ class _Bracket:
         return interp
 
 
+def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
+    """x_all @ x_train.T by scipy's BLAS, a C-order (points, train) array.
+
+    scipy's dgemm returns x_train @ x_all.T in Fortran order; its transpose
+    is the same memory read as (points, train)."""
+    return dgemm(1.0, x_train, x_all, trans_b=True).T
+
+
 def _mirror_square(square: np.ndarray, diag: float) -> None:
     """Copy a diagonal block's lower triangle onto its upper one and set its
     diagonal: a general matrix product need not give a bitwise symmetric Gram.
@@ -243,9 +263,10 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
               test_inputs: np.ndarray | None, layers):
     """Yield the KernelMatrix at each of layers, interpolated from the input Gram.
 
-    The Gram is formed as (points, train): row blocks of its train triangle
-    are interpolated and mirrored, then the test rows; layer depth is
-    written over the Gram. Cosines past the end nodes clamp, to q at c = 1.
+    The Gram is formed as (points, train) by :func:`_gram`, on the same BLAS
+    as the posterior that consumes the kernel. Row blocks of its train
+    triangle are interpolated and mirrored, then the test rows; layer depth
+    is written over the Gram. Cosines past the end nodes clamp, to q at c = 1.
     """
     x_train = np.asarray(train_inputs, dtype=np.float64)
     n_train = x_train.shape[0]
@@ -261,7 +282,7 @@ def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTab
     scale = rho * d_in  # a cosine in units of the Gram's x . x'
     bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
     # (points, train) in C order: its transpose, the entries, is F order
-    gram = x_all @ x_train.T
+    gram = _gram(x_all, x_train)
     for layer in layers:
         out = gram if layer == hp.depth else np.empty_like(gram)
         interp = bracket.interpolator(rows[layer])
@@ -344,7 +365,7 @@ def full_kernel(points: np.ndarray, hp: NetworkHyperparams,
     grid = table.grid if table is not None else None
     f = act.expectation or np.vectorize(partial(expectation_direct, act, grid=grid),
                                         otypes=[float])
-    k = hp.sigma_b2 + hp.sigma_w2 * (x @ x.T) / d_in
+    k = hp.sigma_b2 + hp.sigma_w2 * _gram(x, x) / d_in
     iu, ju = np.triu_indices(n)
     for _ in range(hp.depth):
         d = np.diag(k)

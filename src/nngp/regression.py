@@ -14,6 +14,13 @@ the kernel is unchanged and no second n_train^2 array is made. The variance
 solve runs over panels of test columns. If the factorization fails the
 noise is multiplied by 10 and retried, up to a bounded number of attempts.
 Prior function draws use the same escalating factorization.
+
+Every BLAS and LAPACK call here is scipy's, never numpy's ``@`` or
+``np.linalg``: numpy and scipy each bundle their own OpenBLAS with its own
+thread pool, and a posterior that woke both would have their spinning
+threads contend for the cores (the kernel's Gram follows the same rule, see
+:mod:`nngp.kernel`). Finiteness is checked once per input, a panel of
+columns at a time, and scipy's own rescans are switched off.
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.blas import dgemm
 
-from .kernel import DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, full_kernel
+from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, check_nonnegative,
+                     full_kernel)
 from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
-# test columns per variance solve: the solve's extra memory is n_train x _PANEL
+# test columns per variance solve and per finiteness scan: the extra memory
+# of either is n_train x _PANEL
 _PANEL = 512
 
 
@@ -57,6 +66,16 @@ class PosteriorPrediction:
     clamped: int = 0
 
 
+def _check_finite(a: np.ndarray) -> None:
+    """Raise ValueError, worded as scipy's, if the 2D array a holds an inf or NaN.
+
+    Scans _PANEL columns at a time, so the mask is never larger than one panel.
+    """
+    for p in range(0, a.shape[1], _PANEL):
+        if not np.isfinite(a[:, p:p + _PANEL]).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
     """Copy a's upper triangle onto its lower one, a column at a time, and set
     its diagonal to diag."""
@@ -72,15 +91,17 @@ def _factor_with_escalation(a: np.ndarray, noise: float):
 
     ``a`` is symmetric and F-contiguous. The factor is written over its lower
     triangle and diagonal; the upper triangle is never written, so a failed
-    attempt, and the exit, restore a from it and a saved diagonal.
+    attempt, and the exit, restore a from it and a saved diagonal. ``a`` is
+    checked for finiteness once, before it is written.
     """
+    _check_finite(a)
     diag = a.diagonal().copy()
     current = float(noise)
     try:
         for _ in range(_MAX_NOISE_RETRIES + 1):
             np.fill_diagonal(a, diag + current)
             try:
-                chol, _ = cho_factor(a, lower=True, overwrite_a=True)
+                chol, _ = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError:
                 _restore_lower(a, diag)
                 current = DEFAULT_NOISE if current == 0.0 else current * 10.0
@@ -110,7 +131,7 @@ def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
         return np.empty((0, n))
     z = np.random.default_rng(seed).standard_normal((n, n_draws))
     with _factor_with_escalation(k, 0.0) as (chol, _):
-        return (np.tril(chol) @ z).T
+        return dgemm(1.0, np.tril(chol), z).T
 
 
 def posterior(k: KernelMatrix, targets: np.ndarray,
@@ -118,14 +139,16 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
               noise: float | None = None) -> PosteriorPrediction:
     """Predictive mean and variance at the test points of ``k``.
 
-    ``noise`` overrides ``hp.noise``; one of the two must be given. The
-    factorization is done once, in ``k.kdd`` itself, and applied to all
-    target columns; ``k`` is unchanged on return.
+    ``noise`` overrides ``hp.noise``; one of the two must be given, and it
+    must be finite and >= 0. The factorization is done once, in ``k.kdd``
+    itself, and applied to all target columns; ``k`` is unchanged on return.
+    An inf or NaN in the kernel or the targets raises ValueError.
     """
     if noise is None:
         if hp is None:
             raise ValueError("pass hp or an explicit noise variance")
         noise = hp.noise
+    check_nonnegative("noise", noise)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
@@ -134,13 +157,15 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
             f"targets have {t.shape[0]} rows but kernel has {k.n_train} training points"
         )
     kdx = k.entries[:, k.n_train:]
+    _check_finite(t)
+    _check_finite(kdx)
     explained = np.empty(k.n_test)
     with _factor_with_escalation(k.kdd, noise) as (chol, used):
-        # every BLAS call stays in scipy: numpy's matmul would start numpy's
-        # own OpenBLAS thread pool, which contends with scipy's
-        mean = dgemm(1.0, kdx, cho_solve((chol, True), t), trans_a=True)
+        mean = dgemm(1.0, kdx, cho_solve((chol, True), t, check_finite=False),
+                     trans_a=True)
         for p in range(0, k.n_test, _PANEL):
-            w = solve_triangular(chol, kdx[:, p:p + _PANEL], lower=True)
+            w = solve_triangular(chol, kdx[:, p:p + _PANEL], lower=True,
+                                 check_finite=False)
             explained[p:p + _PANEL] = np.einsum("ij,ij->j", w, w)
             del w  # before the next panel's solve allocates its own
     variance = k.test_diag - explained

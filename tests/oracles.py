@@ -223,15 +223,16 @@ def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
     search, the train triangle is mirrored from above the diagonal and the
     diagonal set to q_l. No buckets, no row blocks.
     """
-    from nngp.kernel import _TRANSFER_COSINES, _compose
+    from nngp.kernel import _TRANSFER_COSINES, _compose, _gram
 
     layer = hp.depth if layer is None else layer
     x_all = x_train if x_test is None else np.vstack([x_train, x_test])
     n_train, d_in = x_train.shape[0], x_all.shape[1]
     rho = float(np.einsum("ij,ij->i", x_all, x_all).mean()) / d_in
     rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
-    # the kernel's own product: BLAS need not give the same bits for x_train @ x_all.T
-    k = np.interp((x_all @ x_train.T).T, rho * d_in * _TRANSFER_COSINES, rows[layer])
+    # the kernel's own product: another BLAS call (x_train @ x_all.T, or numpy's
+    # matrix-vector path at n_train = 1) need not give the same bits
+    k = np.interp(_gram(x_all, x_train).T, rho * d_in * _TRANSFER_COSINES, rows[layer])
     kdd = k[:, :n_train]
     lower = np.tril_indices(n_train, -1)
     kdd[lower] = kdd.T[lower]

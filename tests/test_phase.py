@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -383,6 +384,16 @@ def test_sweep_records_failed_cells_and_continues(blob_dataset, small_relu_table
     assert list(sweep.failures) == [(1, 0)]
     assert re.fullmatch(r"TableRangeError: layer \d+: .* exceeds s_max = 16\.0.*",
                         sweep.failures[1, 0])
+
+
+def test_sweep_records_a_non_finite_target_as_value_error(blob_dataset, tanh_table):
+    targets = blob_dataset.targets.copy()
+    targets[blob_dataset.indices[0][0], 0] = np.nan
+    sweep = heatmap_sweep(dataclasses.replace(blob_dataset, targets=targets), "tanh",
+                          depth=3, sw2_grid=np.array([1.5]), sb2_grid=np.array([0.1]),
+                          table=tanh_table)
+    assert math.isnan(sweep.cells[0, 0])
+    assert sweep.failures == {(0, 0): "ValueError: array must not contain infs or NaNs"}
 
 
 def test_deep_degenerate_kernels_reach_chance(blob_dataset, relu_table, tanh_table):

@@ -205,8 +205,8 @@ def test_posterior_peak_memory_within_two_train_blocks(tanh_table):
 
 def test_posterior_factors_in_the_kernel_buffer(tanh_table):
     # the factor lives in K_DD's own lower triangle: the extra memory is one
-    # n_train x panel solve block, the n_train^2 bytes of scipy's finiteness
-    # masks and the outputs, with no room for a second n_train^2 float array
+    # n_train x panel solve block, one n_train x panel finiteness mask and
+    # the outputs, with no room for a second n_train^2 float array or mask
     hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
     n_train, n_test, d_out = 1500, 1200, 10
     k = build_kernel_matrix(constant_norm_points(n_train, 20, seed=8), hp, tanh_table,
@@ -219,10 +219,42 @@ def test_posterior_factors_in_the_kernel_buffer(tanh_table):
     finally:
         tracemalloc.stop()
     solve_block = 8 * n_train * min(_PANEL, n_test)
-    masks = n_train * n_train
+    masks = n_train * _PANEL
     outputs = 8 * ((n_train + n_test) * d_out + 2 * n_test)
     assert peak <= solve_block + masks + outputs
     assert solve_block + masks + outputs < k.kdd.nbytes
+
+
+@pytest.mark.parametrize("where", ["kdd", "cross", "targets"])
+def test_non_finite_input_raises_and_leaves_kernel_unchanged(where, tanh_table):
+    # the one finiteness scan per input stands in for scipy's rescans; a NaN
+    # in the kernel sits past the scan's first panel of columns
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    n_train, n_test = _PANEL + 20, _PANEL + 10
+    built = build_kernel_matrix(constant_norm_points(n_train, 8, seed=12), hp, tanh_table,
+                                constant_norm_points(n_test, 8, seed=13))
+    t = np.random.default_rng(14).standard_normal((n_train, 3))
+    e = built.entries.copy()
+    if where == "kdd":
+        e[3, _PANEL + 5] = np.nan
+    elif where == "cross":
+        e[3, n_train + _PANEL + 5] = np.nan
+    else:
+        t[n_train - 1, 2] = np.inf
+    k = KernelMatrix(e, n_train, built.test_diag, built.layer)
+    before = k.entries.tobytes()
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        posterior(k, t, hp)
+    assert k.entries.tobytes() == before
+
+
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -1.0])
+def test_noise_must_be_finite_and_non_negative(noise):
+    k = make_kernel(np.eye(2), [[0.5, 0.5]], [1.0])
+    before = k.entries.tobytes()
+    with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+        posterior(k, np.ones((2, 1)), noise=noise)
+    assert k.entries.tobytes() == before
 
 
 def test_posterior_restores_the_kernel_after_a_late_failed_pivot(tanh_table):
