@@ -19,8 +19,12 @@ layer variance q_l = K_l(x, x) is the same recursion at x' = x, so it is the
 composed row's entry at cosine 1; no second recursion runs beside it. The
 interpolation finds each entry's interval with an O(1) bracket (equal-width
 buckets over the cosine axis) and returns np.interp's value bit for bit, in
-row blocks of the Gram, so the n^2 term has a small constant and the only
-n^2 buffer is the Gram the kernel is written over.
+row blocks of the Gram. The intervals, and each entry's offset into its
+interval, depend on the inputs alone, so a plan finds them once and every
+network read off the same inputs only gathers: one plan per sweep, and one
+for all the layers of :func:`iter_kernel_layers`. A single build keeps no
+plan; it reads each row block off as soon as it is located, so its only n^2
+buffer is the Gram the kernel is written over.
 
 Where the activation has F in closed form (ReLU: the arccosine kernel) the
 step needs no table: it checks the lookup pipeline, and steps inputs of
@@ -182,8 +186,13 @@ _TRANSFER_COSINES = np.union1d(np.linspace(-1.0, 1.0, 1025),
 # equal-width buckets over the cosine axis; below c ~ 0.9992 none holds more
 # than two transfer nodes, above it the geometric nodes crowd toward c = 1
 _BUCKETS = 1 << 16
-# Gram entries per row block: each block temporary stays at 512 KiB
+# Gram entries per row block: each work buffer of a block stays at 512 KiB
 _BLOCK_ENTRIES = 1 << 16
+# a triangle is mirrored in square tiles of this side, 128 KiB each: at
+# n = 300 they take 0.06 ms where 256-tiles take 0.15, and from n = 3000 up
+# both take the same time
+_TILE = 128
+_STRICT_LOWER = np.tri(_TILE, k=-1, dtype=bool)
 
 
 class _Bracket:
@@ -195,51 +204,43 @@ class _Bracket:
     nodes below the entry's bucket, two forward comparisons find np.interp's
     interval wherever a bucket holds at most two nodes; the crowded buckets
     from the first one holding three on are the tail, left to np.interp.
+    Interval j holds np.interp's formula slope[j] (v - start[j]) + level[j],
+    with the left clamp as a zero-slope interval before node 0.
     """
 
     def __init__(self, nodes: np.ndarray, scale: float):
         self.nodes = nodes
+        self.start = np.concatenate([nodes[:1], nodes])
         per_unit = _BUCKETS / (2.0 * scale) if scale > 0.0 else math.inf
-        # zero or subnormal norms leave no finite bucket width: one bucket
-        # then holds every node and every entry, and np.interp reads them all
+        # zero, subnormal or non-finite norms leave no finite bucket width: one
+        # bucket then holds every node, even a non-finite one, and every entry,
+        # and np.interp reads them all
         self.per_unit = per_unit if math.isfinite(per_unit) else 0.0
-        counts = np.bincount(self.bucket(nodes))
+        if self.per_unit == 0.0:
+            counts = np.bincount(np.full(nodes.size, _BUCKETS // 2))
+        else:
+            counts = np.bincount(self.bucket(nodes, np.empty(nodes.size),
+                                             np.empty(nodes.size, np.intp)))
         self.cut = int(np.flatnonzero(counts > 2)[0])
         # nodes below each bucket up to the cut; np.take(..., mode="clip")
         # reads buckets under 0 as 0 and buckets past the cut as the cut
         self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
 
-    def bucket(self, v: np.ndarray) -> np.ndarray:
-        b = v * self.per_unit
-        b += _BUCKETS // 2
-        return b.astype(np.intp)
+    def bucket(self, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The buckets of v, written into the intp array out through the float work."""
+        np.multiply(v, self.per_unit, out=work)
+        work += _BUCKETS // 2
+        # a NaN entry gets some bucket: its network's composition refuses it
+        with np.errstate(invalid="ignore"):
+            np.copyto(out, work, casting="unsafe")
+        return out
 
-    def interpolator(self, fp: np.ndarray):
-        """v -> np.interp(v, nodes, fp): interval j holds np.interp's formula
-        slope[j] (v - nodes[j]) + fp[j], with the left clamp as a zero-slope
-        interval before node 0."""
-        nodes, first, cut = self.nodes, self.first, self.cut
-        start = np.concatenate([nodes[:1], nodes])
+    def lines(self, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """slope and level of every interval of np.interp(., nodes, fp)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             # scaled tail nodes can coincide; np.interp reads the tail
-            slope = np.concatenate([[0.0], np.diff(fp) / np.diff(nodes)])
-        level = np.concatenate([fp[:1], fp])
-
-        def interp(v: np.ndarray, out: np.ndarray) -> None:
-            # e counts the nodes at or below v, so interval e - 1 holds v and
-            # index e of start, slope and level is that interval. out may be
-            # v itself: v is last read before out is first written.
-            b = self.bucket(v)
-            e = np.take(first, b, mode="clip")
-            e += np.take(nodes, e) <= v
-            e += np.take(nodes, e) <= v
-            tail = np.flatnonzero(b >= cut)
-            tail_values = np.interp(v.flat[tail], nodes, fp)
-            np.subtract(v, np.take(start, e), out=out)
-            out *= np.take(slope, e)
-            out += np.take(level, e)
-            out.flat[tail] = tail_values
-        return interp
+            slope = np.concatenate([[0.0], np.diff(fp) / np.diff(self.nodes)])
+        return slope, np.concatenate([fp[:1], fp])
 
 
 def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
@@ -250,71 +251,160 @@ def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
     return dgemm(1.0, x_train, x_all, trans_b=True).T
 
 
-def _mirror_square(square: np.ndarray, diag: float) -> None:
-    """Copy a diagonal block's lower triangle onto its upper one and set its
-    diagonal: a general matrix product need not give a bitwise symmetric Gram.
-    The index arrays are freed on return, before the next block's interpolation."""
-    i, j = np.triu_indices(square.shape[0], 1)
-    square[i, j] = square[j, i]
-    np.fill_diagonal(square, diag)
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the square a's strict lower triangle onto its upper one.
 
-
-def _read_off(train_inputs: np.ndarray, hp: NetworkHyperparams, table: LookupTable,
-              test_inputs: np.ndarray | None, layers):
-    """Yield the KernelMatrix at each of layers, interpolated from the input Gram.
-
-    The Gram is formed as (points, train) by :func:`_gram`, on the same BLAS
-    as the posterior that consumes the kernel. Row blocks of its train
-    triangle are interpolated and mirrored, then the test rows; layer depth
-    is written over the Gram. Cosines past the end nodes clamp, to q at c = 1.
+    The copy runs in _TILE x _TILE tiles, so each tile is read and written
+    in cache: tiles off the diagonal are plain transposed copies, and each
+    diagonal tile copies where its strict lower mask is set. a may be any
+    square view; through the transpose of a Fortran-order square, the same
+    copy takes the upper triangle onto the lower one.
     """
-    x_train = np.asarray(train_inputs, dtype=np.float64)
-    n_train = x_train.shape[0]
-    if test_inputs is None:
-        x_all = x_train
-    else:
-        x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
-    n_all, d_in = x_all.shape
-    rho = _common_squared_norm(x_all) / d_in
+    n = a.shape[0]
+    for i0 in range(0, n, _TILE):
+        i1 = min(n, i0 + _TILE)
+        for j0 in range(0, i0, _TILE):
+            a[j0:j0 + _TILE, i0:i1] = a[i0:i1, j0:j0 + _TILE].T
+        tile = a[i0:i1, i0:i1]
+        np.copyto(tile.T, tile, where=_STRICT_LOWER[:i1 - i0, :i1 - i0])
 
-    # _TRANSFER_COSINES ends at 1: the last column is the layer variance
-    rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
-    scale = rho * d_in  # a cosine in units of the Gram's x . x'
-    bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
-    # (points, train) in C order: its transpose, the entries, is F order
-    gram = _gram(x_all, x_train)
-    for layer in layers:
-        out = gram if layer == hp.depth else np.empty_like(gram)
-        interp = bracket.interpolator(rows[layer])
+
+class _Plan:
+    """What every read-off from one set of inputs shares: one plan per sweep.
+
+    rho is fixed by the inputs, so every network read off them reads the same
+    Gram at the same scaled transfer nodes, and each entry's interval e and
+    offset dv = v - start[e] are the same for all of them. The plan forms
+    the (points, train) Gram by :func:`_gram` and the :class:`_Bracket`
+    once. Row blocks cover the train triangle up to the diagonal, then the
+    test rows; each block's offsets are written over its part of the Gram,
+    and its tail entries, left to np.interp, are kept with their values.
+
+    A kept plan (``keep``) locates every block when it is built and keeps
+    each block's intervals, so it can be read off any number of times into
+    new buffers: about two Gram-sized arrays, the offsets and the intervals.
+    A plan that is not kept is read off once, into its own Gram: each block
+    is located in reused block-sized buffers just before it is read off, so
+    the plan holds nothing beside the Gram that becomes the kernel.
+    """
+
+    def __init__(self, train_inputs: np.ndarray, test_inputs: np.ndarray | None,
+                 keep: bool):
+        x_train = np.asarray(train_inputs, dtype=np.float64)
+        self.n_train = n_train = x_train.shape[0]
+        if test_inputs is None:
+            x_all = x_train
+        else:
+            x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
+        self.n_all, d_in = x_all.shape
+        self.rho = _common_squared_norm(x_all) / d_in
+        scale = self.rho * d_in  # a cosine in units of the Gram's x . x'
+        self.bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
+        # (points, train) in C order: its transpose, the entries, is F order
+        self.gram = _gram(x_all, x_train)
+        # (r0, r1, c1) per block: train rows r0:r1 up to the diagonal, with
+        # (r1 - r0) r1 <= _BLOCK_ENTRIES entries, then test rows of n_train
+        self.bounds = []
         r0 = 0
         while r0 < n_train:
-            # train rows r0:r1 up to the diagonal, (r1 - r0) r1 <= _BLOCK_ENTRIES
-            # entries; their entries right of the diagonal come from later
-            # blocks, mirrored into rows that are done reading the Gram
             height = (math.isqrt(r0 * r0 + 4 * _BLOCK_ENTRIES) - r0) // 2
             r1 = min(n_train, r0 + max(1, height))
-            block = out[r0:r1, :r1]
-            interp(gram[r0:r1, :r1], block)
-            _mirror_square(block[:, r0:], rows[layer, -1])
-            out[:r0, r0:r1] = block[:, :r0].T
+            self.bounds.append((r0, r1, r1))
             r0 = r1
         step = max(1, _BLOCK_ENTRIES // max(1, n_train))
-        for r0 in range(n_train, n_all, step):
-            interp(gram[r0:r0 + step], out[r0:r0 + step])
-        yield KernelMatrix(out.T, n_train, np.full(n_all - n_train, rows[layer, -1]), layer)
+        self.bounds += [(r0, min(self.n_all, r0 + step), n_train)
+                        for r0 in range(n_train, self.n_all, step)]
+        sizes = [(r1 - r0) * c1 for r0, r1, c1 in self.bounds]
+        self.block_entries = max(sizes, default=0)
+        self.kept = list(self._locate(sum(sizes))) if keep else None
+
+    def _locate(self, kept_entries: int = 0):
+        """Yield each block's (r0, r1, c1, e, tail, tail values), writing its
+        offsets over the Gram.
+
+        e counts the nodes at or below each entry v, so interval e - 1 holds v
+        and index e of start, slope and level is that interval. Each block's e
+        is contiguous: its own part of one array of kept_entries, or else a
+        work buffer that the next block reuses.
+        """
+        br = self.bracket
+        work = np.empty(self.block_entries)
+        buckets = np.empty(self.block_entries, np.intp)
+        mask = np.empty(self.block_entries, bool)
+        intervals = np.empty(max(kept_entries, self.block_entries), np.intp)
+        at = 0
+        for r0, r1, c1 in self.bounds:
+            v = self.gram[r0:r1, :c1]
+            shape, size = v.shape, v.size
+            f = work[:size].reshape(shape)
+            m = mask[:size].reshape(shape)
+            b = br.bucket(v, f, buckets[:size].reshape(shape))
+            e = intervals[at:at + size].reshape(shape)
+            at += size if kept_entries else 0
+            np.take(br.first, b, out=e, mode="clip")
+            for _ in range(2):
+                e += np.less_equal(np.take(br.nodes, e, out=f, mode="clip"), v, out=m)
+            tail = np.flatnonzero(np.greater_equal(b, br.cut, out=m))
+            tail_values = v.flat[tail]
+            np.subtract(v, np.take(br.start, e, out=f, mode="clip"), out=v)
+            yield r0, r1, c1, e, tail, tail_values
+
+    def gather(self, fp: np.ndarray, out: np.ndarray) -> None:
+        """Write np.interp(Gram, nodes, fp) into the (points, train) array out,
+        bit for bit, then mirror its train square and set its diagonal to fp[-1]:
+        a general matrix product need not give a bitwise symmetric Gram.
+
+        out is a new buffer for a kept plan, and the plan's own Gram, gathered
+        into once, for a plan that is not kept.
+        """
+        slope, level = self.bracket.lines(fp)
+        work = np.empty(self.block_entries)
+        blocks = self._locate() if self.kept is None else self.kept
+        for r0, r1, c1, e, tail, tail_values in blocks:
+            # np.interp's formula in its order: (v - start[e]) slope[e] + level[e]
+            block = out[r0:r1, :c1]
+            w = work[:e.size].reshape(e.shape)
+            np.multiply(self.gram[r0:r1, :c1], np.take(slope, e, out=w, mode="clip"),
+                        out=block)
+            block += np.take(level, e, out=w, mode="clip")
+            block.flat[tail] = np.interp(tail_values, self.bracket.nodes, fp)
+        train = out[:self.n_train]
+        _mirror_lower(train)
+        np.fill_diagonal(train, fp[-1])
+
+
+def _read_off(plan: _Plan, hp: NetworkHyperparams, table: LookupTable, layers):
+    """Yield the KernelMatrix at each of layers, read off the plan.
+
+    The layer map is composed once, over the transfer cosines at the plan's
+    rho; cosines past the end nodes clamp, to q at c = 1. A plan that is not
+    kept is read off into its own Gram (one layer), a kept plan into a new
+    buffer per layer.
+    """
+    # _TRANSFER_COSINES ends at 1: the last column is the layer variance
+    rows = _compose(hp.sigma_b2 + hp.sigma_w2 * plan.rho * _TRANSFER_COSINES, -1, hp, table)
+    for layer in layers:
+        out = plan.gram if plan.kept is None else np.empty_like(plan.gram)
+        plan.gather(rows[layer], out)
+        yield KernelMatrix(out.T, plan.n_train,
+                           np.full(plan.n_all - plan.n_train, rows[layer, -1]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
                        table: LookupTable, test_inputs: np.ndarray | None = None):
-    """Yield the KernelMatrix at layers 0..depth."""
-    yield from _read_off(train_inputs, hp, table, test_inputs, range(hp.depth + 1))
+    """Yield the KernelMatrix at layers 0..depth, all read off one kept plan."""
+    yield from _read_off(_Plan(train_inputs, test_inputs, keep=True), hp, table,
+                         range(hp.depth + 1))
 
 
 def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
                         table: LookupTable,
                         test_inputs: np.ndarray | None = None) -> KernelMatrix:
-    """Kernel at the output layer over train (and optionally test) points."""
-    return next(_read_off(train_inputs, hp, table, test_inputs, [hp.depth]))
+    """Kernel at the output layer over train (and optionally test) points.
+
+    Its plan is not kept: the kernel is written over the input Gram."""
+    return next(_read_off(_Plan(train_inputs, test_inputs, keep=False), hp, table,
+                          [hp.depth]))
 
 
 @dataclass(frozen=True)

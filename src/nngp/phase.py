@@ -29,9 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernel import NetworkHyperparams, _layer_map, build_kernel_matrix
+from .kernel import NetworkHyperparams, _layer_map, _Plan, _read_off
+# phase does not call build_kernel_matrix (a sweep reads every cell off one
+# plan); perfbench/tracing.py patches nngp.phase.build_kernel_matrix by name
+from .kernel import build_kernel_matrix  # noqa: F401
 # phase does not call interpolate; perfbench/tracing.py patches nngp.phase.interpolate by name
-from .lookup import LookupTable, interpolate  # noqa: F401
+from .lookup import LookupTable, QuadratureGrid, interpolate  # noqa: F401
 from .regression import evaluate, posterior
 
 _Q_DIVERGENCE = 1e6
@@ -120,13 +123,29 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
     q0 = sb2 + sw2
     if q0 > table.grid.s_max:
         return math.inf
-    q = np.union1d(table.grid.s, q0)
+    # the map at the s nodes, with q0 spliced in at its place unless it is a node
+    q, m = table.grid.s, sb2 + sw2 * table.f1d
     start = int(np.searchsorted(q, q0))
-    m = sb2 + sw2 * np.interp(q, table.grid.s, table.f1d)
+    if q[start] != q0:
+        q = np.concatenate((q[:start], [q0], q[start:]))
+        m = np.concatenate((m[:start], [0.0], m[start:]))
     # the kernel's own step at the start node, which also checks the table's phi
     m[start] = _layer_map(q0, q0, hp, table, 1)
     hit = _crossing(q, m, start)
     return math.inf if hit is None else hit[0]
+
+
+# per grid: the table's c nodes with 0.5 spliced in, built once and read-only
+_CORRELATION_NODES: dict[QuadratureGrid, np.ndarray] = {}
+
+
+def _correlation_nodes(table: LookupTable) -> np.ndarray:
+    """``table.c_nodes`` with the node 0.5, where the correlation iteration starts."""
+    c = _CORRELATION_NODES.get(table.grid)
+    if c is None:
+        c = _CORRELATION_NODES[table.grid] = np.union1d(table.c_nodes, 0.5)
+        c.flags.writeable = False
+    return c
 
 
 def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
@@ -140,7 +159,7 @@ def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
     if q_star < float(table.grid.s[1]):
         c = np.array([-1.0, 0.5, 1.0])
         return c, 1.0 - hp.sigma_w2 * table.activation.derivative_at_zero() ** 2 * (1.0 - c)
-    c = np.union1d(table.c_nodes, 0.5)
+    c = _correlation_nodes(table)
     return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star
 
 
@@ -273,24 +292,38 @@ class HeatmapSweep:
 
 def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
                   sb2_grid: np.ndarray, table: LookupTable) -> HeatmapSweep:
-    """Full kernel build + posterior + accuracy per grid cell.
+    """Kernel, posterior and validation accuracy per grid cell.
 
-    Accuracy is measured on the validation split; one lookup table is shared
+    Accuracy is measured on the validation split, and an empty one raises
+    ValueError before any work. Every cell is read off one kernel plan over
+    the train and validation inputs, so the Gram is formed and each entry's
+    interval found once per sweep; a cell composes its layer map and gathers
+    its kernel, a new buffer of the Gram's size. One lookup table is shared
     across all cells. Per-cell failures (variance escaping the table,
-    factorization breakdown) leave nan cells and record their reason.
+    factorization breakdown) leave nan cells and record their reason; a plan
+    that fails (inputs of unequal norm) records its reason in every cell.
     """
     sw2_grid = np.asarray(sw2_grid, float)
     sb2_grid = np.asarray(sb2_grid, float)
     x_train, t_train = dataset.train_inputs, dataset.train_targets
     x_valid, t_valid = dataset.valid_inputs, dataset.valid_targets
+    if x_valid.shape[0] == 0:
+        raise ValueError("the validation split is empty: a sweep measures accuracy on it")
     cells = np.full((sw2_grid.size, sb2_grid.size), math.nan)
     failures = {}
+    try:
+        plan, plan_failure = _Plan(x_train, x_valid, keep=True), None
+    except (ArithmeticError, ValueError) as exc:
+        plan, plan_failure = None, f"{type(exc).__name__}: {exc}"
     for i, sw2 in enumerate(sw2_grid):
         for j, sb2 in enumerate(sb2_grid):
             hp = NetworkHyperparams(depth=depth, sigma_w2=float(sw2),
                                     sigma_b2=float(sb2), phi=phi)
+            if plan is None:
+                failures[i, j] = plan_failure
+                continue
             try:
-                k = build_kernel_matrix(x_train, hp, table, x_valid)
+                k = next(_read_off(plan, hp, table, [depth]))
                 pred = posterior(k, t_train, hp)
                 cells[i, j] = evaluate(pred, t_valid)["accuracy"]
             except (ArithmeticError, ValueError) as exc:

@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.blas import dgemm
 
-from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, check_nonnegative,
-                     full_kernel)
+from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, _mirror_lower,
+                     check_nonnegative, full_kernel)
 from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
@@ -77,10 +77,9 @@ def _check_finite(a: np.ndarray) -> None:
 
 
 def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
-    """Copy a's upper triangle onto its lower one, a column at a time, and set
-    its diagonal to diag."""
-    for j in range(a.shape[0] - 1):
-        a[j + 1:, j] = a[j, j + 1:]
+    """Copy the F-order a's upper triangle onto its lower one, through its
+    C-order transpose, and set its diagonal to diag."""
+    _mirror_lower(a.T)
     np.fill_diagonal(a, diag)
 
 

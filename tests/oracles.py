@@ -238,3 +238,59 @@ def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
     kdd[lower] = kdd.T[lower]
     np.fill_diagonal(kdd, rows[layer, -1])
     return k
+
+
+def loop_sweep(dataset, phi: str, depth: int, sw2_grid, sb2_grid, table):
+    """(cells, failures) of a heatmap sweep that builds every cell on its own.
+
+    Each cell forms its kernel by ``build_kernel_matrix`` (its own Gram,
+    bracket and intervals) and then calls ``posterior`` and ``evaluate``;
+    failures are recorded as "ExceptionType: message", as the sweep does.
+    """
+    from nngp import NetworkHyperparams, build_kernel_matrix, evaluate, posterior
+
+    cells = np.full((len(sw2_grid), len(sb2_grid)), math.nan)
+    failures = {}
+    for i, sw2 in enumerate(sw2_grid):
+        for j, sb2 in enumerate(sb2_grid):
+            hp = NetworkHyperparams(depth=depth, sigma_w2=float(sw2), sigma_b2=float(sb2),
+                                    phi=phi)
+            try:
+                k = build_kernel_matrix(dataset.train_inputs, hp, table, dataset.valid_inputs)
+                pred = posterior(k, dataset.train_targets, hp)
+                cells[i, j] = evaluate(pred, dataset.valid_targets)["accuracy"]
+            except (ArithmeticError, ValueError) as exc:
+                failures[i, j] = f"{type(exc).__name__}: {exc}"
+    return cells, failures
+
+
+def union1d_variance_fixed_point(hp, table) -> float:
+    """A table phi's q* with the map's nodes formed by np.union1d(s, q0).
+
+    The variance map is interpolated at the union of the table's s nodes and
+    q0 = sigma_b^2 + sigma_w^2, and stepped by the kernel's layer map at q0;
+    its first crossing of the diagonal from q0 is read by ``phase._crossing``.
+    """
+    from nngp.kernel import _layer_map
+    from nngp.phase import _crossing
+
+    q0 = hp.sigma_b2 + hp.sigma_w2
+    if q0 > table.grid.s_max:
+        return math.inf
+    q = np.union1d(table.grid.s, q0)
+    start = int(np.searchsorted(q, q0))
+    m = hp.sigma_b2 + hp.sigma_w2 * np.interp(q, table.grid.s, table.f1d)
+    m[start] = _layer_map(q0, q0, hp, table, 1)
+    hit = _crossing(q, m, start)
+    return math.inf if hit is None else hit[0]
+
+
+def union1d_correlation_map(hp, table, q_star: float):
+    """A table phi's correlation map at q* on np.union1d(c_nodes, 0.5), formed per call."""
+    from nngp.kernel import _layer_map
+
+    if q_star < float(table.grid.s[1]):
+        c = np.array([-1.0, 0.5, 1.0])
+        return c, 1.0 - hp.sigma_w2 * table.activation.derivative_at_zero() ** 2 * (1.0 - c)
+    c = np.union1d(table.c_nodes, 0.5)
+    return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star

@@ -1,9 +1,11 @@
-"""The kernel and the posterior run every matrix product on scipy's BLAS.
+"""The kernel, the posterior and the sweep run every matrix product on scipy's BLAS.
 
 numpy and scipy each bundle their own OpenBLAS with its own thread pool. A
 kernel Gram formed by numpy's ``@`` and a posterior factored by scipy wake
 both pools in one operation, and on two cores their spinning threads slow
-each other down. These checks read the source, so they hold whatever the
+each other down. A sweep (in ``phase``) runs its cells' kernels and posteriors
+back to back, so it and the phase maps keep the same rule. These checks read
+the source, so they hold whatever the
 thread count of the machine running them.
 """
 
@@ -12,7 +14,7 @@ import inspect
 
 import pytest
 
-from nngp import kernel, regression
+from nngp import kernel, phase, regression
 
 _PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot"}
 _ALLOWED_LINALG = {"LinAlgError"}
@@ -50,7 +52,7 @@ def numpy_blas_uses(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", [kernel, regression], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [kernel, regression, phase], ids=lambda m: m.__name__)
 def test_no_numpy_blas_in_kernel_or_posterior(module):
     assert numpy_blas_uses(inspect.getsource(module)) == []
 

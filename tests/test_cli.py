@@ -266,6 +266,26 @@ def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     assert [r[2] for r in rows[3:]] == ["nan", "nan"]
 
 
+def test_sweep_without_a_validation_split_exits_as_usage_error(tmp_path, capsys):
+    # it used to build every cell, warn "Mean of empty slice", write an
+    # all-nan CSV and then fail on "no populated cells"
+    cfg = {"dataset": {"format": "synthetic", "d_out": 4,
+                       "synthetic": {"n": 120, "d_in": 8, "separation": 2.0,
+                                     "n_test": 20, "n_valid": 0, "seed": 3}},
+           "seed": 3}
+    cfg_path = tmp_path / "data.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--dataset", str(cfg_path), "--phi", "tanh", "--depth", "2",
+                "--cells", "2", *small_grid_args(), "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nngp")
+    assert "the validation split is empty" in err
+    assert not out.exists()
+
+
 # the 100-column small table leaves one variance at -4.5e-6 before clamping;
 # a conditioning-aware noise escalation (ROADMAP item 4) is to remove it
 @pytest.mark.filterwarnings("default:posterior variance reached:RuntimeWarning")

@@ -18,7 +18,8 @@ from nngp import (
     sample_prior,
 )
 from nngp.activations import RELU, TANH
-from nngp.kernel import _TRANSFER_COSINES, _common_squared_norm, _compose, _layer_map
+from nngp.kernel import (_TRANSFER_COSINES, _common_squared_norm, _compose, _layer_map,
+                         _mirror_lower, _Plan, _read_off)
 
 from .conftest import constant_norm_points
 from .oracles import (
@@ -354,6 +355,32 @@ def test_read_off_is_bitwise_np_interp(case, request, blob_dataset):
     if case == "norm_spread_clamps":
         assert (x_train[0] @ x_train[2]) / np.mean(np.sum(x_train ** 2, axis=1)) >= 1.0
         assert k.kdd[0, 2] == k.kdd[0, 0]
+
+
+@pytest.mark.parametrize("case", list(_READ_OFF_CASES))
+def test_kept_plan_reads_off_build_kernel_matrix_bitwise(case, request, blob_dataset):
+    # a kept plan gathers from the intervals and offsets it located once; read
+    # twice, into new buffers, it gives the single build's floats both times
+    phi, sw2, sb2, depth, table_name, inputs = _READ_OFF_CASES[case]
+    hp = NetworkHyperparams(depth=depth, sigma_w2=sw2, sigma_b2=sb2, phi=phi)
+    table = request.getfixturevalue(table_name)
+    x_train, x_test = inputs(blob_dataset)
+    plan = _Plan(x_train, x_test, keep=True)
+    first = next(_read_off(plan, hp, table, [depth]))
+    again = next(_read_off(plan, hp, table, [depth]))
+    k = build_kernel_matrix(x_train, hp, table, x_test)
+    assert np.array_equal(first.entries, k.entries)
+    assert np.array_equal(again.entries, k.entries)
+    assert np.array_equal(first.test_diag, k.test_diag)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 773])
+def test_mirror_lower_copies_the_strict_lower_triangle(n, order):
+    a = np.asarray(np.random.default_rng(n).standard_normal((n, n)), order=order)
+    expected = np.tril(a) + np.tril(a, -1).T
+    _mirror_lower(a)
+    assert np.array_equal(a, expected)
 
 
 def test_every_layer_is_bitwise_np_interp(blob_dataset, tanh_table):

@@ -18,11 +18,13 @@ from nngp import (
     posterior,
     variance_fixed_point,
 )
+from nngp import kernel, phase
 from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
 from .oracles import (arccos_kernel, iterated_correlation_fixed_point,
-                      iterated_variance_fixed_point, tanh_chi1_gh, tanh_qstar_gh)
+                      iterated_variance_fixed_point, loop_sweep, tanh_chi1_gh, tanh_qstar_gh,
+                      union1d_correlation_map, union1d_variance_fixed_point)
 
 
 def hp(phi, sw2, sb2, depth=1):
@@ -394,6 +396,99 @@ def test_sweep_records_a_non_finite_target_as_value_error(blob_dataset, tanh_tab
                           table=tanh_table)
     assert math.isnan(sweep.cells[0, 0])
     assert sweep.failures == {(0, 0): "ValueError: array must not contain infs or NaNs"}
+
+
+def _nan_target(dataset):
+    targets = dataset.targets.copy()
+    targets[dataset.indices[0][0], 0] = np.nan
+    return dataclasses.replace(dataset, targets=targets)
+
+
+def _nan_input(dataset):
+    inputs = dataset.inputs.copy()
+    inputs[dataset.indices[0][0], 0] = np.nan
+    return dataclasses.replace(dataset, inputs=inputs)
+
+
+@pytest.mark.parametrize("phi,depth,sw2_grid,sb2_grid,table_name,data,failed", [
+    ("tanh", 20, [0.5, 1.6, 4.0], [0.0, 1.0], "tanh_table", None, 0),
+    # sw2 = 4 escapes the small table's s_max at depth 8
+    ("relu", 8, [1.0, 4.0], [0.1], "small_relu_table", None, 1),
+    ("tanh", 3, [1.5], [0.1], "tanh_table", _nan_target, 1),
+    # the plan takes a NaN input; each cell's composition refuses it
+    ("tanh", 3, [1.0, 2.0], [0.1], "tanh_table", _nan_input, 2),
+], ids=["tanh", "failed_cell", "nan_target", "nan_input"])
+def test_sweep_equals_a_loop_of_single_builds(phi, depth, sw2_grid, sb2_grid, table_name,
+                                              data, failed, request, blob_dataset):
+    # one plan read off per cell against a build_kernel_matrix per cell
+    dataset = blob_dataset if data is None else data(blob_dataset)
+    table = request.getfixturevalue(table_name)
+    sweep = heatmap_sweep(dataset, phi, depth, sw2_grid, sb2_grid, table)
+    cells, failures = loop_sweep(dataset, phi, depth, sw2_grid, sb2_grid, table)
+    assert np.array_equal(sweep.cells, cells, equal_nan=True)
+    assert sweep.failures == failures
+    assert len(failures) == failed
+
+
+def test_sweep_forms_the_gram_once(monkeypatch, blob_dataset, tanh_table):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return gram(*args)
+
+    gram = kernel._gram
+    monkeypatch.setattr(kernel, "_gram", counted)
+    sweep = heatmap_sweep(blob_dataset, "tanh", 3, np.linspace(0.5, 4.0, 3),
+                          np.linspace(0.0, 1.0, 3), tanh_table)
+    assert np.all(np.isfinite(sweep.cells))
+    assert calls == [(1200, 20)]
+
+
+def test_sweep_over_unequal_norms_records_one_reason_per_cell(blob_dataset, tanh_table):
+    inputs = blob_dataset.inputs.copy()
+    inputs[blob_dataset.indices[1][0]] *= 2.0
+    dataset = dataclasses.replace(blob_dataset, inputs=inputs)
+    sweep = heatmap_sweep(dataset, "tanh", 3, np.array([1.0, 2.0]), np.array([0.1, 0.5]),
+                          tanh_table)
+    assert np.all(np.isnan(sweep.cells))
+    assert sorted(sweep.failures) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(set(sweep.failures.values())) == 1
+    assert sweep.failures[0, 0].startswith("ValueError: inputs must share one squared norm")
+
+
+def test_sweep_without_a_validation_split_raises_before_any_gram(monkeypatch, blob_dataset,
+                                                                  tanh_table):
+    def refused(*args):
+        raise AssertionError("a Gram was formed")
+
+    monkeypatch.setattr(kernel, "_gram", refused)
+    tr, _, te = blob_dataset.indices
+    dataset = dataclasses.replace(blob_dataset, indices=(tr, tr[:0], te))
+    with pytest.raises(ValueError, match="validation split is empty"):
+        heatmap_sweep(dataset, "tanh", 3, np.array([1.0]), np.array([0.1]), tanh_table)
+
+
+def _phase_outputs(table):
+    diag = [dataclasses.astuple(diagnose(hp("tanh", float(sw2), float(sb2)), table))
+            for sw2 in phase.SWEEP_SW2_GRID[::3] for sb2 in phase.SWEEP_SB2_GRID[::3]]
+    sb2_line = np.linspace(0.0, 2.0, 5)
+    return (np.array([d[:4] for d in diag]), [d[4] for d in diag],
+            critical_line("tanh", sb2_line, table), critical_line("relu", sb2_line))
+
+
+def test_phase_maps_equal_the_union1d_formulation(monkeypatch, tanh_table):
+    # the benchmark's 10 x 10 diagnose grid and both critical lines, against
+    # the maps formed on np.union1d of the table's nodes at every call
+    values, labels, tanh_line, relu_line = _phase_outputs(tanh_table)
+    monkeypatch.setattr(phase, "variance_fixed_point", union1d_variance_fixed_point)
+    monkeypatch.setattr(phase, "_correlation_map", union1d_correlation_map)
+    ref_values, ref_labels, ref_tanh, ref_relu = _phase_outputs(tanh_table)
+    assert np.array_equal(values, ref_values, equal_nan=True)
+    assert labels == ref_labels
+    assert {"ordered", "chaotic"} <= set(labels)
+    assert np.array_equal(tanh_line, ref_tanh, equal_nan=True)
+    assert np.array_equal(relu_line, ref_relu, equal_nan=True)
 
 
 def test_deep_degenerate_kernels_reach_chance(blob_dataset, relu_table, tanh_table):
