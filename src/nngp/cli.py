@@ -61,9 +61,9 @@ def _write_csv(path, header, rows):
 def cmd_table_build(args) -> int:
     grid = _grid_from_args(args)
     cached = lookup.cache_path(args.phi, grid)
-    hit = cached.exists()
     t0 = time.perf_counter()
-    table = lookup.load_or_build(args.phi, grid)
+    hit = lookup.cached_table(args.phi, grid)
+    table = hit or lookup.load_or_build(args.phi, grid)
     how = "cached" if hit else f"built in {time.perf_counter() - t0:.2f} s"
     path = args.out or cached
     if args.out:

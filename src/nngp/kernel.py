@@ -151,10 +151,15 @@ def _layer_map(k, q: float, hp: NetworkHyperparams, table: LookupTable | None,
     return hp.sigma_b2 + hp.sigma_w2 * f
 
 
+def _norms_spread(norms: np.ndarray) -> bool:
+    """True when squared norms spread by more than _NORM_RTOL of the largest."""
+    return float(norms.max() - norms.min()) > _NORM_RTOL * max(float(norms.max()), 1e-30)
+
+
 def _common_squared_norm(x: np.ndarray) -> float:
     norms = np.einsum("ij,ij->i", x, x)
-    lo, hi = float(norms.min()), float(norms.max())
-    if hi - lo > _NORM_RTOL * max(hi, 1e-30):
+    if _norms_spread(norms):
+        lo, hi = float(norms.min()), float(norms.max())
         raise ValueError(
             f"inputs must share one squared norm (found range [{lo}, {hi}]); "
             f"preprocess inputs first"
@@ -446,9 +451,7 @@ def full_kernel(points: np.ndarray, hp: NetworkHyperparams,
     if x.ndim == 1:
         x = x[:, None]
     n, d_in = x.shape
-    norms = np.einsum("ij,ij->i", x, x)
-    const_norm = float(norms.max() - norms.min()) <= _NORM_RTOL * max(float(norms.max()), 1e-30)
-    if const_norm and table is not None:
+    if table is not None and not _norms_spread(np.einsum("ij,ij->i", x, x)):
         return build_kernel_matrix(x, hp, table).entries
 
     act = get_activation(hp.phi)

@@ -378,25 +378,29 @@ def cache_path(phi: str, grid: QuadratureGrid, directory=None) -> Path:
     return base / name
 
 
+def cached_table(phi, grid: QuadratureGrid, directory=None) -> LookupTable | None:
+    """The cached table if its file answers (phi, grid), else None: it must
+    load (the current magic, not truncated) and its header name this phi and
+    grid. ``phi`` must be registered, since the file records it by tag."""
+    act = registered_activation(phi)
+    try:
+        table = load_table(cache_path(act.name, grid, directory))
+    except (FileNotFoundError, ValueError):
+        return None
+    return table if (table.activation, table.grid) == (act, grid) else None
+
+
 def load_or_build(phi, grid: QuadratureGrid | None = None, directory=None) -> LookupTable:
     """Return the cached table for (phi, grid), building and caching on miss.
 
     Amortizes the grid-generation cost across experiments; cache location is
-    NNGP_CACHE_DIR or ~/.cache/nngp. ``phi`` must be registered, since the
-    file records it by tag. A file that :func:`load_table` refuses (another
-    magic, a truncated file) or whose header names another phi or grid is a
-    miss and is overwritten.
-    """
-    act = registered_activation(phi)
+    NNGP_CACHE_DIR or ~/.cache/nngp. A file that :func:`cached_table`
+    refuses is rebuilt and overwritten."""
     grid = default_grid() if grid is None else grid
-    path = cache_path(act.name, grid, directory)
-    try:
-        table = load_table(path)
-        if (table.activation, table.grid) == (act, grid):
-            return table
-    except (FileNotFoundError, ValueError):
-        pass
-    table = populate(grid, act)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_table(table, path)
+    table = cached_table(phi, grid, directory)
+    if table is None:
+        table = populate(grid, phi)
+        path = cache_path(table.nonlinearity, grid, directory)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_table(table, path)
     return table

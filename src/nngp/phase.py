@@ -6,7 +6,8 @@ c*. The derivative chi1 of the correlation map at its fixed point controls
 how fast structure in the kernel is forgotten with depth: chi1 = 1 marks
 the critical line where the depth scale xi = -1/log(chi1) diverges, and
 predictive performance concentrates near that line. c* = 1 (ordered) exactly
-when the map's slope at c = 1 is below 1 (Schoenholz et al. 2017).
+when the map's slope at c = 1 is below 1; otherwise correlations from c -> 1-
+flow down to c* < 1 (Schoenholz et al. 2017), and c* is read from there.
 
 ReLU always uses its closed forms, with or without a table: the variance
 fixed point of its affine variance map, and c* = 1 with chi1 = sw2 / 2, the
@@ -34,7 +35,7 @@ from .kernel import NetworkHyperparams, _layer_map, _Plan, _read_off
 # plan); perfbench/tracing.py patches nngp.phase.build_kernel_matrix by name
 from .kernel import build_kernel_matrix  # noqa: F401
 # phase does not call interpolate; perfbench/tracing.py patches nngp.phase.interpolate by name
-from .lookup import LookupTable, QuadratureGrid, interpolate  # noqa: F401
+from .lookup import LookupTable, interpolate  # noqa: F401
 from .regression import evaluate, posterior
 
 _Q_DIVERGENCE = 1e6
@@ -65,10 +66,6 @@ class PhaseDiagnostics:
     chi1: float
     xi: float
     phase: str
-
-    @property
-    def diverged(self) -> bool:
-        return math.isinf(self.q_star)
 
 
 def _closed_form(hp: NetworkHyperparams, table: LookupTable | None) -> bool:
@@ -135,32 +132,25 @@ def variance_fixed_point(hp: NetworkHyperparams, table: LookupTable | None = Non
     return math.inf if hit is None else hit[0]
 
 
-# per grid: the table's c nodes with 0.5 spliced in, built once and read-only
-_CORRELATION_NODES: dict[QuadratureGrid, np.ndarray] = {}
-
-
-def _correlation_nodes(table: LookupTable) -> np.ndarray:
-    """``table.c_nodes`` with the node 0.5, where the correlation iteration starts."""
-    c = _CORRELATION_NODES.get(table.grid)
-    if c is None:
-        c = _CORRELATION_NODES[table.grid] = np.union1d(table.c_nodes, 0.5)
-        c.flags.writeable = False
-    return c
-
-
 def _correlation_map(hp: NetworkHyperparams, table: LookupTable, q_star: float):
     """Nodes c and values R(c) of a table phi's correlation map at a finite q*.
 
     R is exactly linear between the nodes: at fixed q* the table is
     interpolated linearly in c between ``table.c_nodes``, and so is the
-    small-variance linearization used below the first variance row. The
-    node 0.5, where the fixed-point iteration starts, splits one segment.
+    small-variance linearization used below the first variance row, on the
+    nodes -1, 0.5 and 1. The fixed-point iteration starts at c -> 1-, the
+    last node before c = 1.
     """
     if q_star < float(table.grid.s[1]):
         c = np.array([-1.0, 0.5, 1.0])
         return c, 1.0 - hp.sigma_w2 * table.activation.derivative_at_zero() ** 2 * (1.0 - c)
-    c = _correlation_nodes(table)
+    c = table.c_nodes
     return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star
+
+
+def _slope(c: np.ndarray, r: np.ndarray, k: int) -> float:
+    """Slope of the correlation map on segment k, between nodes c[k] and c[k + 1]."""
+    return float((r[k + 1] - r[k]) / (c[k + 1] - c[k]))
 
 
 def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
@@ -169,9 +159,10 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
 
     A table phi's map is piecewise linear in c: c* = 1 when the slope of the
     last segment (c -> 1-) is below 1; otherwise c* is where the iteration
-    c <- clip(R(c)) from 0.5 stops, and chi1 is its segment's slope. ReLU's
-    map stays above the diagonal below c = 1 at any q*, so c* = 1 and chi1 =
-    sw2 / 2, its slope there. xi = -1/log(chi1), infinite on the critical band.
+    c <- clip(R(c)) from c -> 1-, the last node before 1, stops, and chi1 is
+    its segment's slope. ReLU's map stays above the diagonal below c = 1 at
+    any q*, so c* = 1 and chi1 = sw2 / 2, its slope there. xi = -1/log(chi1),
+    infinite on the critical band.
     """
     if _closed_form(hp, table):
         c_star, chi1 = 1.0, hp.sigma_w2 / 2.0
@@ -179,13 +170,12 @@ def correlation_fixed_point(hp: NetworkHyperparams, table: LookupTable | None,
         raise ValueError("q* must be finite")
     else:
         c, r = _correlation_map(hp, table, q_star)
-        slopes = np.diff(r) / np.diff(c)
         # c = 1 is a fixed point; when stable (slope at c -> 1- below 1) it is c*
-        c_star, chi1 = 1.0, float(slopes[-1])
+        c_star, chi1 = 1.0, _slope(c, r, c.size - 2)
         if chi1 >= 1.0:
             # clip(R(1)) = 1, so the iteration never escapes past c = 1
-            c_star, k = _crossing(c, np.clip(r, -1.0, 1.0), int(np.flatnonzero(c == 0.5)[0]))
-            chi1 = float(slopes[k])
+            c_star, k = _crossing(c, np.clip(r, -1.0, 1.0), c.size - 2)
+            chi1 = _slope(c, r, k)
     chi1 = max(chi1, 0.0)
     if chi1 > 1.0 or abs(chi1 - 1.0) < _CRITICAL_BAND:
         xi = math.inf
@@ -233,7 +223,7 @@ def chi1_at(phi: str, sw2: float, sb2: float, table: LookupTable | None = None) 
     if math.isinf(q_star):
         return math.nan
     c, r = _correlation_map(hp, table, q_star)
-    return float((r[-1] - r[-2]) / (c[-1] - c[-2]))
+    return _slope(c, r, c.size - 2)
 
 
 def critical_line(phi: str, sb2_grid: np.ndarray,

@@ -283,14 +283,3 @@ def union1d_variance_fixed_point(hp, table) -> float:
     m[start] = _layer_map(q0, q0, hp, table, 1)
     hit = _crossing(q, m, start)
     return math.inf if hit is None else hit[0]
-
-
-def union1d_correlation_map(hp, table, q_star: float):
-    """A table phi's correlation map at q* on np.union1d(c_nodes, 0.5), formed per call."""
-    from nngp.kernel import _layer_map
-
-    if q_star < float(table.grid.s[1]):
-        c = np.array([-1.0, 0.5, 1.0])
-        return c, 1.0 - hp.sigma_w2 * table.activation.derivative_at_zero() ** 2 * (1.0 - c)
-    c = np.union1d(table.c_nodes, 0.5)
-    return c, _layer_map(q_star * c, q_star, hp, table, 1) / q_star

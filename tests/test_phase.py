@@ -24,7 +24,7 @@ from nngp.lookup import interpolate
 
 from .oracles import (arccos_kernel, iterated_correlation_fixed_point,
                       iterated_variance_fixed_point, loop_sweep, tanh_chi1_gh, tanh_qstar_gh,
-                      union1d_correlation_map, union1d_variance_fixed_point)
+                      union1d_variance_fixed_point)
 
 
 def hp(phi, sw2, sb2, depth=1):
@@ -205,6 +205,23 @@ def test_diagnose_matches_iterated_reference_on_sweep_grid(tanh_table):
     assert differ == [(float(SWEEP_SW2_GRID[6]), 0.0)]
 
 
+@pytest.mark.parametrize("sw2,sb2", [
+    # c* = 0.4994 on variance_grid(30), in the c segment that holds 0.5,
+    # where the reference iteration starts
+    (float(phase.SWEEP_SW2_GRID[22]), float(phase.SWEEP_SB2_GRID[3])),
+    # the slope at c -> 1- is 1.00009: the map sits only 1.8e-7 below the
+    # diagonal at the last node before c = 1, where the iteration starts
+    (3.4564, 1.0),
+], ids=["straddles_0.5", "near_critical"])
+def test_chaotic_fixed_point_from_below_one_matches_iteration(tanh_table, sw2, sb2):
+    h = hp("tanh", sw2, sb2)
+    d = diagnose(h, tanh_table)
+    c_star, chi1 = iterated_correlation_fixed_point(h, tanh_table, d.q_star)
+    assert d.phase == "chaotic" and c_star < 1.0
+    assert d.c_star == pytest.approx(c_star, abs=1e-9)
+    assert chi1_at("tanh", sw2, sb2, tanh_table) > 1.0
+
+
 def test_clipped_end_chi1_is_the_segment_slope(tanh_table):
     # q* = 0 is below the first variance row, so the map is the
     # linearization 1 - chi1 (1 - c) with chi1 = sw2 phi'(0)^2 = 1.114, and
@@ -240,7 +257,7 @@ def test_xi_infinite_on_critical_band(tanh_table):
 
 def test_diverged_diagnostics_for_relu():
     d = diagnose(hp("relu", 3.0, 0.5))
-    assert d.diverged and d.phase == "unbounded"
+    assert math.isinf(d.q_star) and d.phase == "unbounded"
     # the ReLU stability multiplier is q*-independent and stays defined
     assert d.chi1 == 1.5
 
@@ -249,7 +266,7 @@ def test_tanh_past_the_table_is_unbounded(small_tanh_table):
     # q0 = sb2 + sw2 = 17 is past the small table's s_max = 16
     h = hp("tanh", 15.0, 2.0)
     d = diagnose(h, small_tanh_table)
-    assert d.phase == "unbounded" and d.diverged
+    assert d.phase == "unbounded" and math.isinf(d.q_star)
     assert math.isnan(d.c_star) and math.isnan(d.chi1) and math.isnan(d.xi)
     assert math.isnan(chi1_at("tanh", 15.0, 2.0, small_tanh_table))
     with pytest.raises(ValueError, match="finite"):
@@ -479,10 +496,9 @@ def _phase_outputs(table):
 
 def test_phase_maps_equal_the_union1d_formulation(monkeypatch, tanh_table):
     # the benchmark's 10 x 10 diagnose grid and both critical lines, against
-    # the maps formed on np.union1d of the table's nodes at every call
+    # the variance map formed on np.union1d of the table's s nodes and q0
     values, labels, tanh_line, relu_line = _phase_outputs(tanh_table)
     monkeypatch.setattr(phase, "variance_fixed_point", union1d_variance_fixed_point)
-    monkeypatch.setattr(phase, "_correlation_map", union1d_correlation_map)
     ref_values, ref_labels, ref_tanh, ref_relu = _phase_outputs(tanh_table)
     assert np.array_equal(values, ref_values, equal_nan=True)
     assert labels == ref_labels
