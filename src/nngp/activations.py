@@ -11,6 +11,7 @@ arccosine kernel, Cho & Saul 2009), else None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,12 @@ def check_covariance(k_xy, k_xx, k_yy) -> None:
     """Raise ValueError unless F's arguments are a covariance: k_xx, k_yy >= 0 and
     |k_xy| <= sqrt(k_xx k_yy) up to roundoff. Arrays broadcast; the message
     names the first offending entry."""
+    if isinstance(k_xx, float) and isinstance(k_yy, float) and k_xx >= 0.0 and k_yy >= 0.0:
+        # scalar variances: one float bound and one comparison; the broadcast
+        # below then runs only to name the offending entry
+        bound = math.sqrt(abs(k_xx * k_yy)) * (1.0 + 1e-8) + 1e-15
+        if not (np.abs(k_xy) > bound).any():
+            return
     # a negative variance is flagged on its own; |k_xx k_yy| keeps it out of the root
     bad = (np.less(k_xx, 0.0) | np.less(k_yy, 0.0)
            | (np.abs(k_xy) > np.sqrt(np.abs(k_xx * k_yy)) * (1.0 + 1e-8) + 1e-15))

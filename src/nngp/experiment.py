@@ -184,6 +184,7 @@ def _write_predictions(path, pred, point_ids) -> None:
 def run_experiment(config: RunConfig) -> dict:
     """Orchestrate table load/build, kernel, posterior and metrics.
 
+    An empty test split raises ValueError before the table or the kernel.
     Returns the report dict; writes the JSON report and prediction CSV when
     paths are configured.
     """
@@ -192,6 +193,8 @@ def run_experiment(config: RunConfig) -> dict:
     t0 = time.perf_counter()
     dataset = build_dataset(config)
     timings["load_preprocess"] = time.perf_counter() - t0
+    if dataset.test_inputs.shape[0] == 0:
+        raise ValueError("the test split is empty: a run measures accuracy on it")
 
     grid = build_grid(**config.grid)
     t0 = time.perf_counter()

@@ -274,7 +274,9 @@ def interpolate(table: LookupTable, k_xy, k_xx: float):
     i0 = min(int(min(k_xx, grid.s_max) / ds), grid.n_v - 2)
     ws = k_xx / ds - i0
     row = np.empty(grid.n_c + 2)
-    row[1:-1] = (1.0 - ws) * table.f2d[i0] + ws * table.f2d[i0 + 1]
+    blend = row[1:-1]
+    np.multiply(table.f2d[i0], 1.0 - ws, out=blend)
+    blend += ws * table.f2d[i0 + 1]
     row[-1] = (1.0 - ws) * table.f1d[i0] + ws * table.f1d[i0 + 1]
     row[0] = -row[-1] if table.activation.odd else row[1]
 

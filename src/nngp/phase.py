@@ -36,7 +36,10 @@ from .kernel import NetworkHyperparams, _layer_map, _Plan, _read_off
 from .kernel import build_kernel_matrix  # noqa: F401
 # phase does not call interpolate; perfbench/tracing.py patches nngp.phase.interpolate by name
 from .lookup import LookupTable, interpolate  # noqa: F401
-from .regression import evaluate, posterior
+# a sweep scores the mean step alone, and calls neither posterior nor evaluate;
+# perfbench/tracing.py patches nngp.phase.posterior and nngp.phase.evaluate by name
+from .regression import evaluate, posterior  # noqa: F401
+from .regression import _accuracy, _solve_mean
 
 _Q_DIVERGENCE = 1e6
 _CRITICAL_BAND = 1e-4
@@ -282,16 +285,21 @@ class HeatmapSweep:
 
 def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
                   sb2_grid: np.ndarray, table: LookupTable) -> HeatmapSweep:
-    """Kernel, posterior and validation accuracy per grid cell.
+    """Kernel, posterior mean and validation accuracy per grid cell.
 
     Accuracy is measured on the validation split, and an empty one raises
-    ValueError before any work. Every cell is read off one kernel plan over
-    the train and validation inputs, so the Gram is formed and each entry's
-    interval found once per sweep; a cell composes its layer map and gathers
-    its kernel, a new buffer of the Gram's size. One lookup table is shared
-    across all cells. Per-cell failures (variance escaping the table,
-    factorization breakdown) leave nan cells and record their reason; a plan
-    that fails (inputs of unequal norm) records its reason in every cell.
+    ValueError before any work. A cell's score is the argmax accuracy of the
+    posterior mean alone, by the rule :func:`nngp.regression.evaluate` uses,
+    so a cell makes no variance solve; it solves for the mean exactly as
+    :func:`nngp.regression.posterior` does, and so fails as it would. Every
+    cell is read off one kernel plan over the train and validation inputs,
+    so the Gram is formed and each entry's interval found once per sweep; a
+    cell composes its layer map and gathers its kernel, a new buffer of the
+    Gram's size. One lookup table is shared across all cells. Per-cell
+    failures (variance escaping the table, factorization breakdown) leave
+    nan cells and record their reason; a plan that fails (inputs of unequal
+    norm) records its reason in every cell. A cell never warns "posterior
+    variance reached", since it forms no variance.
     """
     sw2_grid = np.asarray(sw2_grid, float)
     sb2_grid = np.asarray(sb2_grid, float)
@@ -314,8 +322,8 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
                 continue
             try:
                 k = next(_read_off(plan, hp, table, [depth]))
-                pred = posterior(k, t_train, hp)
-                cells[i, j] = evaluate(pred, t_valid)["accuracy"]
+                with _solve_mean(k, t_train, hp, None) as (mean, _, _):
+                    cells[i, j] = _accuracy(mean, t_valid)
             except (ArithmeticError, ValueError) as exc:
                 failures[i, j] = f"{type(exc).__name__}: {exc}"
     return HeatmapSweep(sw2_grid=sw2_grid, sb2_grid=sb2_grid, cells=cells,

@@ -7,7 +7,10 @@ distribution at each test point is Gaussian with
     variance = K_xx - K_xD (K_DD + eps2 I)^-1 K_xD^T = K_xx - ||L^-1 K_Dx||^2
 
 computed from a single Cholesky factorization L L^T = K_DD + eps2 I shared
-by every target column. L is written over the lower triangle of the
+by every target column. The mean is one step (``_solve_mean``): validate,
+check finiteness, factor, solve. :func:`posterior` adds the variance solve
+on top of it; a heatmap sweep, which scores only the mean's argmax, stops
+there and makes no variance solve. L is written over the lower triangle of the
 kernel's own K_DD block; the upper triangle keeps the kernel, and the lower
 triangle and diagonal are restored from it when the posterior is done, so
 the kernel is unchanged and no second n_train^2 array is made. The variance
@@ -133,15 +136,14 @@ def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
         return dgemm(1.0, np.tril(chol), z).T
 
 
-def posterior(k: KernelMatrix, targets: np.ndarray,
-              hp: NetworkHyperparams | None = None,
-              noise: float | None = None) -> PosteriorPrediction:
-    """Predictive mean and variance at the test points of ``k``.
+@contextmanager
+def _solve_mean(k: KernelMatrix, targets: np.ndarray, hp: NetworkHyperparams | None,
+                noise: float | None):
+    """Yield the predictive mean at the test points of ``k``, the lower
+    Cholesky factor of K_DD + eps2 I and the noise used.
 
-    ``noise`` overrides ``hp.noise``; one of the two must be given, and it
-    must be finite and >= 0. The factorization is done once, in ``k.kdd``
-    itself, and applied to all target columns; ``k`` is unchanged on return.
-    An inf or NaN in the kernel or the targets raises ValueError.
+    The arguments are checked as :func:`posterior` documents. The factor
+    lives in ``k.kdd`` while the context is open and is undone on exit.
     """
     if noise is None:
         if hp is None:
@@ -158,10 +160,27 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
     kdx = k.entries[:, k.n_train:]
     _check_finite(t)
     _check_finite(kdx)
-    explained = np.empty(k.n_test)
     with _factor_with_escalation(k.kdd, noise) as (chol, used):
         mean = dgemm(1.0, kdx, cho_solve((chol, True), t, check_finite=False),
                      trans_a=True)
+        yield mean, chol, used
+
+
+def posterior(k: KernelMatrix, targets: np.ndarray,
+              hp: NetworkHyperparams | None = None,
+              noise: float | None = None) -> PosteriorPrediction:
+    """Predictive mean and variance at the test points of ``k``.
+
+    ``noise`` overrides ``hp.noise``; one of the two must be given, and it
+    must be finite and >= 0. The factorization is done once, in ``k.kdd``
+    itself, and applied to all target columns; ``k`` is unchanged on return.
+    An inf or NaN in the kernel or the targets raises ValueError. The mean
+    is the same step a heatmap sweep scores by; the variance solve is added
+    on top of it.
+    """
+    kdx = k.entries[:, k.n_train:]
+    explained = np.empty(k.n_test)
+    with _solve_mean(k, targets, hp, noise) as (mean, chol, used):
         for p in range(0, k.n_test, _PANEL):
             w = solve_triangular(chol, kdx[:, p:p + _PANEL], lower=True,
                                  check_finite=False)
@@ -181,6 +200,12 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
                                clamped=clamped)
 
 
+def _accuracy(mean: np.ndarray, true_targets: np.ndarray) -> float:
+    """Argmax accuracy of the mean against one-hot targets of its shape, the
+    one rule :func:`evaluate` and a heatmap sweep score by."""
+    return float(np.mean(np.argmax(mean, axis=1) == np.argmax(true_targets, axis=1)))
+
+
 def evaluate(pred: PosteriorPrediction, true_targets: np.ndarray) -> dict:
     """MSE over all entries and argmax accuracy against one-hot targets.
 
@@ -190,8 +215,7 @@ def evaluate(pred: PosteriorPrediction, true_targets: np.ndarray) -> dict:
     if t.shape != pred.mean.shape:
         raise ValueError(f"target shape {t.shape} != prediction shape {pred.mean.shape}")
     mse = float(np.mean((pred.mean - t) ** 2))
-    accuracy = float(np.mean(np.argmax(pred.mean, axis=1) == np.argmax(t, axis=1)))
-    return {"mse": mse, "accuracy": accuracy}
+    return {"mse": mse, "accuracy": _accuracy(pred.mean, t)}
 
 
 def calibration_bins(pred: PosteriorPrediction, true_targets: np.ndarray,

@@ -143,8 +143,9 @@ def iterated_correlation_fixed_point(hp, table, q_star: float) -> tuple[float, f
     (below the table's first variance row, by its small-variance
     linearization). chi1 at c -> 1- is a centered difference of step 1e-5
     ending at c = 1; when it is below 1, c* = 1. Otherwise c <- clip(R(c))
-    is iterated from 0.5 until it moves less than 1e-12, and chi1 is the
-    centered difference at c* (at most 1 - 1e-5).
+    is iterated from 0.5 until the residual |R(c) - c| / |1 - slope| is
+    below 1e-12, so the stop does not loosen as the slope nears 1, and chi1
+    is the centered difference at c* (at most 1 - 1e-5).
     """
     from nngp.kernel import _layer_map
 
@@ -164,10 +165,15 @@ def iterated_correlation_fixed_point(hp, table, q_star: float) -> tuple[float, f
     c_star, chi1 = 1.0, slope(1.0 - step)
     if chi1 >= 1.0:
         c = 0.5
-        for _ in range(10_000):
+        for _ in range(1_000_000):
             c, c_prev = min(max(r(c), -1.0), 1.0), c
-            if abs(c - c_prev) < 1e-12:
+            # a map of slope chi1 < 1 near c* leaves c within |R(c) - c| / (1 - chi1)
+            # of c*; the slope is taken only once the step is small
+            res = abs(c - c_prev)
+            if res == 0.0 or res < 1e-12 and res < 1e-12 * abs(1.0 - slope(min(c, 1.0 - step))):
                 break
+        else:
+            raise ArithmeticError(f"no fixed point within 1e-12 after 1e6 steps at {hp}")
         c_star = c
         chi1 = slope(min(c_star, 1.0 - step))
     return c_star, max(chi1, 0.0)

@@ -300,6 +300,32 @@ def test_sweep_without_a_validation_split_exits_as_usage_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_run_without_a_test_split_exits_as_usage_error(tmp_path, capsys, monkeypatch):
+    # it used to build the kernel, warn "Mean of empty slice" and write
+    # "accuracy": NaN, which is not JSON, into the report
+    import nngp.experiment
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was loaded for an empty test split")
+
+    monkeypatch.setattr(nngp.experiment, "load_or_build", no_table)
+    report = tmp_path / "r.json"
+    payload = {"dataset": {"format": "synthetic", "d_out": 4,
+                           "synthetic": {"n": 120, "d_in": 8, "separation": 2.0,
+                                         "n_test": 0, "seed": 3}},
+               "outputs": {"report": str(report)},
+               "seed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", str(cfg_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nngp")
+    assert "the test split is empty" in err
+    assert not report.exists()
+
+
 # the 100-column small table leaves one variance at -4.5e-6 before clamping;
 # a conditioning-aware noise escalation (ROADMAP item 4) is to remove it
 @pytest.mark.filterwarnings("default:posterior variance reached:RuntimeWarning")

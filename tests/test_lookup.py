@@ -1,3 +1,4 @@
+import math
 import os
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ from nngp import (
     populate,
     save_table,
 )
-from nngp.activations import RELU
+from nngp.activations import RELU, check_covariance
 from nngp.lookup import (
     _ROW_CHUNK,
     LookupTable,
@@ -247,8 +248,17 @@ def test_interpolate_rejects_covariance_above_variance(small_relu_table):
         interpolate(small_relu_table, 3.0, 2.0)
 
 
+def _f_bound(k_var):
+    """The largest |k_xy| F accepts at equal variances k_var >= 0."""
+    return math.sqrt(abs(k_var * k_var)) * (1.0 + 1e-8) + 1e-15
+
+
 @pytest.mark.parametrize("k_xy, k_var", [(3.0, 2.0), (-2.0 * (1 + 2e-8), 2.0),
-                                         (1e-14, 0.0), (0.0, -1.0)])
+                                         (1e-14, 0.0), (0.0, -1.0),
+                                         # one float past the bound, and the least negative variance
+                                         (float(np.nextafter(_f_bound(2.0), 3.0)), 2.0),
+                                         (-float(np.nextafter(_f_bound(0.3), 1.0)), 0.3),
+                                         (0.0, -5e-324)])
 def test_every_F_rejects_a_non_covariance_alike(small_relu_table, k_xy, k_var):
     # the closed form, the table and the quadrature share one argument rule
     want = (f"F needs non-negative variances and |k_xy| <= sqrt(k_xx k_yy), "
@@ -263,6 +273,28 @@ def test_every_F_rejects_a_non_covariance_alike(small_relu_table, k_xy, k_var):
         with pytest.raises(ValueError) as exc:
             f()
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("k_var", [2.0, 0.3, 0.0])
+def test_every_F_accepts_k_xy_at_its_bound(small_relu_table, k_var):
+    bound = _f_bound(k_var)
+    vec = np.array([-bound, 0.0, bound])
+    for k_xy in (bound, -bound, vec):
+        check_covariance(k_xy, k_var, k_var)
+        RELU.expectation(k_xy, k_var, k_var)
+        interpolate(small_relu_table, k_xy, k_var)
+    expectation_direct("relu", bound, k_var, k_var, small_relu_table.grid)
+
+
+def test_F_argument_check_lets_nan_through():
+    # a NaN compares false against the bound, with scalar or array variances
+    for k_xx in (2.0, np.array([2.0, 2.0])):
+        check_covariance(math.nan, k_xx, 2.0)
+        check_covariance(np.array([math.nan, 0.5]), k_xx, 2.0)
+        check_covariance(0.5, math.nan, k_xx)
+        # the message still names the first offending entry past a NaN
+        with pytest.raises(ValueError, match=r"got k_xy = 3\.0, k_xx = 2\.0"):
+            check_covariance(np.array([math.nan, 3.0]), k_xx, 2.0)
 
 
 def test_interpolate_scalar_and_vector_agree(small_tanh_table):

@@ -18,7 +18,7 @@ from nngp import (
     posterior,
     variance_fixed_point,
 )
-from nngp import kernel, phase
+from nngp import kernel, phase, regression
 from nngp.kernel import _layer_map
 from nngp.lookup import interpolate
 
@@ -212,7 +212,9 @@ def test_diagnose_matches_iterated_reference_on_sweep_grid(tanh_table):
     # the slope at c -> 1- is 1.00009: the map sits only 1.8e-7 below the
     # diagonal at the last node before c = 1, where the iteration starts
     (3.4564, 1.0),
-], ids=["straddles_0.5", "near_critical"])
+    # chi1 = 0.9987 at c*: a stop on the step alone sat 1.04e-8 from c*
+    (2.2943, 0.2),
+], ids=["straddles_0.5", "near_critical", "slope_near_one_at_c_star"])
 def test_chaotic_fixed_point_from_below_one_matches_iteration(tanh_table, sw2, sb2):
     h = hp("tanh", sw2, sb2)
     d = diagnose(h, tanh_table)
@@ -445,6 +447,20 @@ def test_sweep_equals_a_loop_of_single_builds(phi, depth, sw2_grid, sb2_grid, ta
     assert np.array_equal(sweep.cells, cells, equal_nan=True)
     assert sweep.failures == failures
     assert len(failures) == failed
+
+
+def test_sweep_makes_no_variance_solve(monkeypatch, blob_dataset, tanh_table):
+    # a cell scores the posterior mean's argmax, which needs no L^-1 K_Dx
+    grids = [0.5, 1.6, 4.0], [0.0, 1.0]
+    cells, failures = loop_sweep(blob_dataset, "tanh", 20, *grids, tanh_table)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep cell ran the variance solve")
+
+    monkeypatch.setattr(regression, "solve_triangular", refused)
+    sweep = heatmap_sweep(blob_dataset, "tanh", 20, *grids, tanh_table)
+    assert np.array_equal(sweep.cells, cells, equal_nan=True)
+    assert sweep.failures == failures == {}
 
 
 def test_sweep_forms_the_gram_once(monkeypatch, blob_dataset, tanh_table):
