@@ -21,14 +21,17 @@ exponent at c >= 0 splits into per-node Gaussian factors times a factor that
 depends only on u_a - u_b, so each cell is a lag-weighted autocorrelation of
 an n_g-vector. On the symmetric u grid the factor at -c depends on u_a + u_b
 alike, so the mirrored cell is the same vector's self-convolution under the
-same weights, and columns are built in +-c pairs, five batched FFTs a pair.
-This equals the double sum up to float64 roundoff (~1e-12 relative) and
-reduces the build cost from O(n_g^2 n_v n_c) to O(n_g log n_g * n_v n_c).
+same weights, and columns are built in +-c pairs. The lag sums are taken in
+the frequency domain, so a pair costs three batched FFTs (the spectra of the
+vector, of the Gaussian factors and of the lag weights) and three dots over
+the bins. This equals the double sum up to float64 roundoff (~1e-14 of the
+row's second moment) and reduces the build cost from O(n_g^2 n_v n_c) to
+O(n_g log n_g * n_v n_c).
 The variance rows are built in fixed chunks of 64, one task per chunk on a
 thread per core, so each chunk's work arrays stay in cache. Rows are
-computed independently and the chunks depend on the grid alone, so the table
-is the same bits on any number of cores. The default 501 x 501 x 500 table
-builds in 2.3-4.2 s on two Xeon cores.
+computed independently, so the table is the same bits on any number of
+cores and in chunks of any size. The default 501 x 501 x 500 table builds in
+1.6-3.6 s on two Xeon cores.
 Queries are answered by bilinear interpolation, O(1), over a c axis closed
 by nodes at c = +-1 so that correlations near 1 keep their gaps q - K.
 Tables are cached on disk under a name built from phi and the grid; a cache
@@ -40,9 +43,9 @@ changes any table entry, so that tables left by older code are rebuilt.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,13 +61,12 @@ DEFAULT_N_C = 500
 DEFAULT_S_MAX = 100.0
 
 # names the build's bits: bump it whenever a build change moves any entry
-_MAGIC = b"NNGPLUT2"
+_MAGIC = b"NNGPLUT3"
 _PHI_TAG_BYTES = 16
 # cache file header: magic, phi tag, n_g, n_v, n_c, u_max, s_max
 _HEADER = struct.Struct(f"<8s{_PHI_TAG_BYTES}s3q2d")
-# variance rows per build task: a chunk's FFT work arrays stay in cache, and
-# np.fft.irfft returns the same bits over 64 rows as over the default grid's
-# 500 in one call (over 16 or 32 rows it does not)
+# variance rows per build task: a chunk's FFT work arrays stay in cache. The
+# chunk size moves no bit: chunks of 1 to 500 rows build the same table
 _ROW_CHUNK = 64
 
 
@@ -169,32 +171,39 @@ class LookupTable:
         return np.concatenate(([-1.0], self.grid.c, [1.0]))
 
 
-def _fft_pair(phi_u: np.ndarray, u: np.ndarray, s_pos: np.ndarray, c: float,
-              lags: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fft_pair(phi_u: np.ndarray, u: np.ndarray, s_pos: np.ndarray, c: float, lags: np.ndarray,
+              fold: np.ndarray, ramp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerators of F at +c and -c (c >= 0) for every s in s_pos, and their denominator.
 
     With g_a = exp(-u_a^2 / (2 s (1+c))) and T_m = exp(-c (m du)^2 / (2 s (1-c^2))),
-    the weight at +c is w_ab = g_a g_b T_{a-b}. On the symmetric u grid
-    u_a + u_b = (a + b - (n_g-1)) du, so at -c it is w_ab = g_a g_b T_{a+b-(n_g-1)}:
-    the autocorrelation and the self-convolution of the same x = phi(u) g,
-    read with the same lag weights. Reflecting u_b -> -u_b maps one weight
-    onto the other, so the sums of w_ab alone, the denominators, are equal.
+    the weight at +c is w_ab = g_a g_b T_{a-b}; on the symmetric u grid the one at
+    -c is g_a g_b T_{a+b-(n_g-1)}, its image under u_b -> -u_b, so the sums of w_ab,
+    the denominators, are equal. The numerators are T-weighted sums of the
+    autocorrelation and the self-convolution of x = phi(u) g. By Parseval each is
+    a dot over the rfft bins k of x (length N >= 2 n_g - 1, so nothing wraps):
+    with |X|^2, and with X^2 times the ramp exp(2 pi i k (n_g-1) / N) that undoes
+    the offset n_g-1. T is even, so its circular DFT is real: hfft of T_0..T_{n_g-1}.
+    fold weighs bins 0..N/2 by 1, 2, ..., 2, 1 over N: an inner bin stands for its mirror.
     """
-    n_g = u.size
+    nfft = 2 * (fold.size - 1)
     g = np.exp(-np.outer(1.0 / (2.0 * s_pos * (1.0 + c)), u * u))
     lag_w = np.exp(-np.outer(c / (2.0 * s_pos * (1.0 - c * c)), lags * lags))
-    at_lag = np.arange(-(n_g - 1), n_g)  # circular index of each lag
-
-    def lag_weighted(spectrum, at):
-        corr = np.fft.irfft(spectrum, n=nfft, axis=1).take(at, axis=1)
-        return np.einsum("ij,ij->i", lag_w, corr)
-
+    bin_w = np.fft.hfft(lag_w, n=nfft, axis=1)[:, :fold.size] * fold
     fx = np.fft.rfft(phi_u * g, n=nfft, axis=1)
-    num_pos = lag_weighted(fx * np.conj(fx), at_lag)
-    num_neg = lag_weighted(fx * fx, at_lag + (n_g - 1))
+    num_pos = np.einsum("ij,ij->i", bin_w, (fx * fx.conj()).real)
+    num_neg = np.einsum("ij,ij->i", bin_w, (fx * fx * ramp).real)
     del fx  # before g's spectrum, so the peak holds one spectrum
     fg = np.fft.rfft(g, n=nfft, axis=1)
-    return num_pos, num_neg, lag_weighted(fg * np.conj(fg), at_lag)
+    return num_pos, num_neg, np.einsum("ij,ij->i", bin_w, (fg * fg.conj()).real)
+
+
+def _pair_constants(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_fft_pair's lags 0..n_g-1, bin weights and phase ramp, fixed by the u grid."""
+    n_g = u.size
+    nfft = 1 << int(np.ceil(np.log2(2 * n_g - 1)))
+    k = np.arange(nfft // 2 + 1)
+    fold = np.where((k == 0) | (k == nfft // 2), 1.0, 2.0) / nfft
+    return np.arange(n_g) * (u[1] - u[0]), fold, np.exp(2j * np.pi * k * (n_g - 1) / nfft)
 
 
 def populate(grid: QuadratureGrid, phi) -> LookupTable:
@@ -214,9 +223,7 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
     if not np.isfinite(phi0_sq):
         raise NonFiniteActivationError("phi(0) is not finite")
 
-    n_g = grid.n_g
-    nfft = 1 << int(np.ceil(np.log2(2 * n_g - 1)))
-    lags = np.arange(-(n_g - 1), n_g) * (grid.u[1] - grid.u[0])
+    lags, fold, ramp = _pair_constants(grid.u)
     f1d = np.empty(grid.n_v)
     f2d = np.empty((grid.n_v, grid.n_c))
     f1d[0] = phi0_sq
@@ -232,7 +239,7 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
         # middle column is its own mirror and keeps its +c value, written last.
         for j in range(grid.n_c // 2, grid.n_c):
             num_pos, num_neg, den = _fft_pair(phi_u, grid.u, s_rows, float(grid.c[j]),
-                                              lags, nfft)
+                                              lags, fold, ramp)
             f2d[rows, grid.n_c - 1 - j] = num_neg / den
             f2d[rows, j] = num_pos / den
 
@@ -334,17 +341,29 @@ def expectation_direct(phi, k_xy: float, k_xx: float, k_yy: float,
 # ---------------------------------------------------------------------------
 
 def save_table(table: LookupTable, path) -> None:
+    """Write the table to path through a temporary file beside it, then
+    os.replace it onto path: a reader running alongside the write finds the
+    old file or the whole new one, never a part. Nothing is fsynced, so this
+    does not hold across a crash: a machine crash can leave a truncated file
+    at path (load_table's size check rejects it), and a process killed
+    mid-write leaves its <name>.<hex>.tmp behind, which nothing removes."""
     grid = table.grid
     tag = table.nonlinearity.encode("ascii")
     if len(tag) > _PHI_TAG_BYTES:
         raise ValueError(f"nonlinearity tag longer than {_PHI_TAG_BYTES} bytes")
     header = _HEADER.pack(_MAGIC, tag.ljust(_PHI_TAG_BYTES, b"\0"),
                           grid.n_g, grid.n_v, grid.n_c, grid.u_max, grid.s_max)
-    buf = io.BytesIO()
-    buf.write(header)
-    buf.write(np.ascontiguousarray(table.f1d, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(table.f2d, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(table.f1d, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(table.f2d, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path) -> LookupTable:

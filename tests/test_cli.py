@@ -47,14 +47,17 @@ def test_table_build_rebuilds_a_file_of_an_older_magic(tmp_path, capsys, monkeyp
     # a cache file that load_or_build refuses and rewrites is not reported as cached
     from nngp.lookup import _MAGIC
 
+    from .test_lookup import OLDER_MAGICS
+
     monkeypatch.setenv("NNGP_CACHE_DIR", str(tmp_path))
     assert run_cli("table", "build", "--phi", "tanh", *small_grid_args()) == 0
     path = Path(capsys.readouterr().out.split("table ready: ")[1].split(" (")[0])
     raw = path.read_bytes()
-    path.write_bytes(b"NNGPLUT1" + raw[len(_MAGIC):])
-    assert run_cli("table", "build", "--phi", "tanh", *small_grid_args()) == 0
-    assert re.search(r"\(built in \d+\.\d\d s\)$", capsys.readouterr().out.strip())
-    assert path.read_bytes() == raw
+    for magic in OLDER_MAGICS:
+        path.write_bytes(magic + raw[len(_MAGIC):])
+        assert run_cli("table", "build", "--phi", "tanh", *small_grid_args()) == 0
+        assert re.search(r"\(built in \d+\.\d\d s\)$", capsys.readouterr().out.strip())
+        assert path.read_bytes() == raw
 
 
 def test_kernel_profile_csv(tmp_path):
