@@ -37,6 +37,24 @@ MNIST_SPLIT = (50_000, 10_000, 10_000)
 CIFAR_SPLIT = (45_000, 5_000, 10_000)
 # the keys load_raw reads from a synthetic dataset section
 _SYNTHETIC_KEYS = ("n", "d_in", "separation", "seed", "n_test", "n_valid")
+# a config file's sections: JSON key -> RunConfig field. A dataset key with
+# the suffix of one of _FILE_KEYS names a data file
+_CONFIG_SECTIONS = {
+    "dataset": {"format": "dataset_format", "d_out": "d_out", "split": "split",
+                "n_train": "n_train", "seed": "seed", "synthetic": "synthetic"},
+    "model": {key: key for key in ("depth", "sigma_w2", "sigma_b2", "phi", "noise")},
+    "outputs": {"report": "report_path", "predictions": "predictions_path"},
+}
+_FILE_KEYS = ("*images", "*labels", "*path", "*paths")
+
+
+def _refuse_unknown(*sections) -> None:
+    """Raise ValueError naming the unknown keys of every (name, keys, known) section."""
+    problems = [f"unknown {name} keys {', '.join(sorted(set(keys) - set(known)))}; "
+                f"known keys: {', '.join(known)}"
+                for name, keys, known in sections if set(keys) - set(known)]
+    if problems:
+        raise ValueError("\n".join(problems))
 
 
 def find_mnist(data_dir=None) -> dict | None:
@@ -60,7 +78,7 @@ def find_mnist(data_dir=None) -> dict | None:
 class RunConfig:
     """Everything one experiment needs, loadable from JSON; validated on construction."""
 
-    dataset_format: str                    # mnist | cifar10 | csv | synthetic
+    dataset_format: str = "csv"            # mnist | cifar10 | csv | synthetic
     dataset_paths: dict = field(default_factory=dict)
     d_out: int = 10
     split: tuple[int, int, int] | None = None
@@ -78,28 +96,23 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        """The config in a JSON file; a key left out takes the field's default,
+        and an unknown key in any section raises ValueError naming it."""
         cfg = json.loads(Path(path).read_text())
-        ds = cfg.get("dataset", {})
-        model = cfg.get("model", {})
-        out = cfg.get("outputs", {})
-        return cls(
-            dataset_format=ds.get("format", "csv"),
-            dataset_paths={k: v for k, v in ds.items()
-                           if k.endswith(("images", "labels", "path", "paths"))},
-            d_out=ds.get("d_out", 10),
-            split=tuple(ds["split"]) if "split" in ds else None,
-            n_train=ds.get("n_train"),
-            seed=cfg.get("seed", ds.get("seed", 0)),
-            depth=model.get("depth", 1),
-            sigma_w2=model.get("sigma_w2", 1.0),
-            sigma_b2=model.get("sigma_b2", 0.0),
-            phi=model.get("phi", "relu"),
-            noise=model.get("noise", DEFAULT_NOISE),
-            grid=cfg.get("grid", {}),
-            report_path=out.get("report"),
-            predictions_path=out.get("predictions"),
-            synthetic=ds.get("synthetic", {}),
-        )
+        sections = {name: dict(cfg.get(name, {})) for name in _CONFIG_SECTIONS}
+        ds = sections["dataset"]
+        paths = {k: ds.pop(k) for k in list(ds) if k.endswith(tuple(f[1:] for f in _FILE_KEYS))}
+        _refuse_unknown(("top-level", cfg, (*_CONFIG_SECTIONS, "grid", "seed")),
+                        ("dataset", ds, (*_CONFIG_SECTIONS["dataset"], *_FILE_KEYS)),
+                        *((name, sections[name], _CONFIG_SECTIONS[name])
+                          for name in ("model", "outputs")))
+        fields = {_CONFIG_SECTIONS[name][k]: v
+                  for name, values in sections.items() for k, v in values.items()}
+        # a top-level seed overrides the dataset's
+        fields.update((k, cfg[k]) for k in ("grid", "seed") if k in cfg)
+        if "split" in fields:
+            fields["split"] = tuple(fields["split"])
+        return cls(dataset_paths=paths, **fields)
 
     def __post_init__(self):
         self.validate()
@@ -107,13 +120,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
-        for section, keys, known in (
-                ("grid", self.grid, tuple(inspect.signature(build_grid).parameters)),
-                ("synthetic", self.synthetic, _SYNTHETIC_KEYS)):
-            unknown = sorted(set(keys) - set(known))
-            if unknown:
-                raise ValueError(f"unknown {section} keys {', '.join(unknown)}; "
-                                 f"known keys: {', '.join(known)}")
+        _refuse_unknown(("grid", self.grid, tuple(inspect.signature(build_grid).parameters)),
+                        ("synthetic", self.synthetic, _SYNTHETIC_KEYS))
         self.hyperparams()  # built for their own checks, before any data is read
         build_grid(**self.grid)
         for key, value in self.dataset_paths.items():

@@ -16,15 +16,14 @@ every layer and K_L(x, x') depends only on the cosine x . x' / d_in, so the
 layer map is composed once over m fixed base cosines and every entry is
 interpolated from the input Gram: O(depth m + n^2), not O(depth n^2). The
 layer variance q_l = K_l(x, x) is the same recursion at x' = x, so it is the
-composed row's entry at cosine 1; no second recursion runs beside it. The
-interpolation finds each entry's interval with an O(1) bracket (equal-width
-buckets over the cosine axis) and returns np.interp's value bit for bit, in
-row blocks of the Gram. The intervals, and each entry's offset into its
-interval, depend on the inputs alone, so a plan finds them once and every
-network read off the same inputs only gathers: one plan per sweep, and one
-for all the layers of :func:`iter_kernel_layers`. A single build keeps no
-plan; it reads each row block off as soon as it is located, so its only n^2
-buffer is the Gram the kernel is written over.
+composed row's entry at cosine 1; no second recursion runs beside it.
+
+One object owns the read-off, :class:`_Plan`: it forms the Gram and reads
+every entry off as np.interp would, bit for bit, with an O(1) bracket
+(equal-width buckets over the cosine axis). A kept plan locates the entries
+once for a whole sweep, or for all the layers of :func:`iter_kernel_layers`;
+a single build keeps no plan, and its only n^2 buffer is the Gram the kernel
+is written over.
 
 Where the activation has F in closed form (ReLU: the arccosine kernel) the
 step needs no table: it checks the lookup pipeline, and steps inputs of
@@ -200,54 +199,6 @@ _TILE = 128
 _STRICT_LOWER = np.tri(_TILE, k=-1, dtype=bool)
 
 
-class _Bracket:
-    """np.interp over the scaled transfer nodes in O(1) per entry, bit for bit.
-
-    An entry's bucket is a monotone function of its value, computed the same
-    way for entries and nodes, so every node in a lower bucket lies below the
-    entry and every node in a higher one above it. Starting from the count of
-    nodes below the entry's bucket, two forward comparisons find np.interp's
-    interval wherever a bucket holds at most two nodes; the crowded buckets
-    from the first one holding three on are the tail, left to np.interp.
-    Interval j holds np.interp's formula slope[j] (v - start[j]) + level[j],
-    with the left clamp as a zero-slope interval before node 0.
-    """
-
-    def __init__(self, nodes: np.ndarray, scale: float):
-        self.nodes = nodes
-        self.start = np.concatenate([nodes[:1], nodes])
-        per_unit = _BUCKETS / (2.0 * scale) if scale > 0.0 else math.inf
-        # zero, subnormal or non-finite norms leave no finite bucket width: one
-        # bucket then holds every node, even a non-finite one, and every entry,
-        # and np.interp reads them all
-        self.per_unit = per_unit if math.isfinite(per_unit) else 0.0
-        if self.per_unit == 0.0:
-            counts = np.bincount(np.full(nodes.size, _BUCKETS // 2))
-        else:
-            counts = np.bincount(self.bucket(nodes, np.empty(nodes.size),
-                                             np.empty(nodes.size, np.intp)))
-        self.cut = int(np.flatnonzero(counts > 2)[0])
-        # nodes below each bucket up to the cut; np.take(..., mode="clip")
-        # reads buckets under 0 as 0 and buckets past the cut as the cut
-        self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
-
-    def bucket(self, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The buckets of v, written into the intp array out through the float work."""
-        np.multiply(v, self.per_unit, out=work)
-        work += _BUCKETS // 2
-        # a NaN entry gets some bucket: its network's composition refuses it
-        with np.errstate(invalid="ignore"):
-            np.copyto(out, work, casting="unsafe")
-        return out
-
-    def lines(self, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """slope and level of every interval of np.interp(., nodes, fp)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # scaled tail nodes can coincide; np.interp reads the tail
-            slope = np.concatenate([[0.0], np.diff(fp) / np.diff(self.nodes)])
-        return slope, np.concatenate([fp[:1], fp])
-
-
 def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
     """x_all @ x_train.T by scipy's BLAS, a C-order (points, train) array.
 
@@ -275,22 +226,33 @@ def _mirror_lower(a: np.ndarray) -> None:
 
 
 class _Plan:
-    """What every read-off from one set of inputs shares: one plan per sweep.
+    """The kernel read-off: np.interp over the Gram at the scaled transfer
+    nodes, in O(1) per entry and bit for bit.
 
     rho is fixed by the inputs, so every network read off them reads the same
-    Gram at the same scaled transfer nodes, and each entry's interval e and
-    offset dv = v - start[e] are the same for all of them. The plan forms
-    the (points, train) Gram by :func:`_gram` and the :class:`_Bracket`
-    once. Row blocks cover the train triangle up to the diagonal, then the
-    test rows; each block's offsets are written over its part of the Gram,
-    and its tail entries, left to np.interp, are kept with their values.
+    Gram at the same scaled nodes, and each entry's interval e and offset
+    dv = v - start[e] are the same for all of them. The plan forms the
+    (points, train) Gram by :func:`_gram` and its bucket tables once. An
+    entry's bucket is a monotone function of its value, computed the same way
+    for entries and nodes, so every node in a lower bucket lies below the
+    entry and every node in a higher one above it. Starting from the count of
+    nodes below the entry's bucket (``first``), two forward comparisons find
+    np.interp's interval wherever a bucket holds at most two nodes; the
+    crowded buckets from the first one holding three on (``cut``) are the
+    tail, left to np.interp. Interval j holds np.interp's formula
+    slope[j] (v - start[j]) + level[j], with the left clamp as a zero-slope
+    interval before node 0. Row blocks cover the train triangle up to the
+    diagonal, then the test rows; each block's offsets are written over its
+    part of the Gram, and its tail entries are kept with their values.
 
     A kept plan (``keep``) locates every block when it is built and keeps
-    each block's intervals, so it can be read off any number of times into
-    new buffers: about two Gram-sized arrays, the offsets and the intervals.
-    A plan that is not kept is read off once, into its own Gram: each block
-    is located in reused block-sized buffers just before it is read off, so
-    the plan holds nothing beside the Gram that becomes the kernel.
+    each block's intervals, so it can be read off any number of times, each
+    into a new buffer: about two Gram-sized arrays, the offsets and the
+    intervals. This is one plan per sweep, and one for all the layers of
+    :func:`iter_kernel_layers`. A plan that is not kept is read off once,
+    into its own Gram: each block is located in reused block-sized buffers
+    just before it is read off, so the plan holds nothing beside the Gram
+    that becomes the kernel.
     """
 
     def __init__(self, train_inputs: np.ndarray, test_inputs: np.ndarray | None,
@@ -304,7 +266,22 @@ class _Plan:
         self.n_all, d_in = x_all.shape
         self.rho = _common_squared_norm(x_all) / d_in
         scale = self.rho * d_in  # a cosine in units of the Gram's x . x'
-        self.bracket = _Bracket(scale * _TRANSFER_COSINES, scale)
+        self.nodes = nodes = scale * _TRANSFER_COSINES
+        self.start = np.concatenate([nodes[:1], nodes])
+        per_unit = _BUCKETS / (2.0 * scale) if scale > 0.0 else math.inf
+        # zero, subnormal or non-finite norms leave no finite bucket width: one
+        # bucket then holds every node, even a non-finite one, and every entry,
+        # and np.interp reads them all
+        self.per_unit = per_unit if math.isfinite(per_unit) else 0.0
+        if self.per_unit == 0.0:
+            counts = np.bincount(np.full(nodes.size, _BUCKETS // 2))
+        else:
+            counts = np.bincount(self.bucket(nodes, np.empty(nodes.size),
+                                             np.empty(nodes.size, np.intp)))
+        self.cut = int(np.flatnonzero(counts > 2)[0])
+        # nodes below each bucket up to the cut; np.take(..., mode="clip")
+        # reads buckets under 0 as 0 and buckets past the cut as the cut
+        self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
         # (points, train) in C order: its transpose, the entries, is F order
         self.gram = _gram(x_all, x_train)
         # (r0, r1, c1) per block: train rows r0:r1 up to the diagonal, with
@@ -323,6 +300,15 @@ class _Plan:
         self.block_entries = max(sizes, default=0)
         self.kept = list(self._locate(sum(sizes))) if keep else None
 
+    def bucket(self, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The buckets of v, written into the intp array out through the float work."""
+        np.multiply(v, self.per_unit, out=work)
+        work += _BUCKETS // 2
+        # a NaN entry gets some bucket: its network's composition refuses it
+        with np.errstate(invalid="ignore"):
+            np.copyto(out, work, casting="unsafe")
+        return out
+
     def _locate(self, kept_entries: int = 0):
         """Yield each block's (r0, r1, c1, e, tail, tail values), writing its
         offsets over the Gram.
@@ -332,7 +318,6 @@ class _Plan:
         is contiguous: its own part of one array of kept_entries, or else a
         work buffer that the next block reuses.
         """
-        br = self.bracket
         work = np.empty(self.block_entries)
         buckets = np.empty(self.block_entries, np.intp)
         mask = np.empty(self.block_entries, bool)
@@ -343,26 +328,30 @@ class _Plan:
             shape, size = v.shape, v.size
             f = work[:size].reshape(shape)
             m = mask[:size].reshape(shape)
-            b = br.bucket(v, f, buckets[:size].reshape(shape))
+            b = self.bucket(v, f, buckets[:size].reshape(shape))
             e = intervals[at:at + size].reshape(shape)
             at += size if kept_entries else 0
-            np.take(br.first, b, out=e, mode="clip")
+            np.take(self.first, b, out=e, mode="clip")
             for _ in range(2):
-                e += np.less_equal(np.take(br.nodes, e, out=f, mode="clip"), v, out=m)
-            tail = np.flatnonzero(np.greater_equal(b, br.cut, out=m))
+                e += np.less_equal(np.take(self.nodes, e, out=f, mode="clip"), v, out=m)
+            tail = np.flatnonzero(np.greater_equal(b, self.cut, out=m))
             tail_values = v.flat[tail]
-            np.subtract(v, np.take(br.start, e, out=f, mode="clip"), out=v)
+            np.subtract(v, np.take(self.start, e, out=f, mode="clip"), out=v)
             yield r0, r1, c1, e, tail, tail_values
 
-    def gather(self, fp: np.ndarray, out: np.ndarray) -> None:
-        """Write np.interp(Gram, nodes, fp) into the (points, train) array out,
-        bit for bit, then mirror its train square and set its diagonal to fp[-1]:
-        a general matrix product need not give a bitwise symmetric Gram.
+    def gather(self, fp: np.ndarray) -> np.ndarray:
+        """np.interp(Gram, nodes, fp) as a (points, train) array, bit for bit,
+        with its train square mirrored and its diagonal set to fp[-1]: a
+        general matrix product need not give a bitwise symmetric Gram.
 
-        out is a new buffer for a kept plan, and the plan's own Gram, gathered
-        into once, for a plan that is not kept.
+        The array is a new buffer for a kept plan, and the plan's own Gram,
+        gathered into once, for a plan that is not kept.
         """
-        slope, level = self.bracket.lines(fp)
+        out = self.gram if self.kept is None else np.empty_like(self.gram)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # scaled tail nodes can coincide; np.interp reads the tail
+            slope = np.concatenate([[0.0], np.diff(fp) / np.diff(self.nodes)])
+        level = np.concatenate([fp[:1], fp])
         work = np.empty(self.block_entries)
         blocks = self._locate() if self.kept is None else self.kept
         for r0, r1, c1, e, tail, tail_values in blocks:
@@ -372,34 +361,31 @@ class _Plan:
             np.multiply(self.gram[r0:r1, :c1], np.take(slope, e, out=w, mode="clip"),
                         out=block)
             block += np.take(level, e, out=w, mode="clip")
-            block.flat[tail] = np.interp(tail_values, self.bracket.nodes, fp)
+            block.flat[tail] = np.interp(tail_values, self.nodes, fp)
         train = out[:self.n_train]
         _mirror_lower(train)
         np.fill_diagonal(train, fp[-1])
+        return out
 
+    def read_off(self, hp: NetworkHyperparams, table: LookupTable, layers):
+        """Yield the KernelMatrix at each of layers.
 
-def _read_off(plan: _Plan, hp: NetworkHyperparams, table: LookupTable, layers):
-    """Yield the KernelMatrix at each of layers, read off the plan.
-
-    The layer map is composed once, over the transfer cosines at the plan's
-    rho; cosines past the end nodes clamp, to q at c = 1. A plan that is not
-    kept is read off into its own Gram (one layer), a kept plan into a new
-    buffer per layer.
-    """
-    # _TRANSFER_COSINES ends at 1: the last column is the layer variance
-    rows = _compose(hp.sigma_b2 + hp.sigma_w2 * plan.rho * _TRANSFER_COSINES, -1, hp, table)
-    for layer in layers:
-        out = plan.gram if plan.kept is None else np.empty_like(plan.gram)
-        plan.gather(rows[layer], out)
-        yield KernelMatrix(out.T, plan.n_train,
-                           np.full(plan.n_all - plan.n_train, rows[layer, -1]), layer)
+        The layer map is composed once, over the transfer cosines at the
+        plan's rho; cosines past the end nodes clamp, to q at c = 1. A plan
+        that is not kept reads off one layer.
+        """
+        # _TRANSFER_COSINES ends at 1: the last column is the layer variance
+        rows = _compose(hp.sigma_b2 + hp.sigma_w2 * self.rho * _TRANSFER_COSINES, -1, hp, table)
+        for layer in layers:
+            yield KernelMatrix(self.gather(rows[layer]).T, self.n_train,
+                               np.full(self.n_all - self.n_train, rows[layer, -1]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
                        table: LookupTable, test_inputs: np.ndarray | None = None):
     """Yield the KernelMatrix at layers 0..depth, all read off one kept plan."""
-    yield from _read_off(_Plan(train_inputs, test_inputs, keep=True), hp, table,
-                         range(hp.depth + 1))
+    yield from _Plan(train_inputs, test_inputs, keep=True).read_off(hp, table,
+                                                                   range(hp.depth + 1))
 
 
 def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
@@ -408,8 +394,7 @@ def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
     """Kernel at the output layer over train (and optionally test) points.
 
     Its plan is not kept: the kernel is written over the input Gram."""
-    return next(_read_off(_Plan(train_inputs, test_inputs, keep=False), hp, table,
-                          [hp.depth]))
+    return next(_Plan(train_inputs, test_inputs, keep=False).read_off(hp, table, [hp.depth]))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ exponent at c >= 0 splits into per-node Gaussian factors times a factor that
 depends only on u_a - u_b, so each cell is a lag-weighted autocorrelation of
 an n_g-vector. On the symmetric u grid the factor at -c depends on u_a + u_b
 alike, so the mirrored cell is the same vector's self-convolution under the
-same weights, and columns are built in +-c pairs. The lag sums are taken in
-the frequency domain, so a pair costs three batched FFTs (the spectra of the
+same weights, and columns are built in +-c pairs; an odd phi's -c column is
+exactly minus its +c one, so F(0) reads 0. The lag sums are taken in the
+frequency domain, so a pair costs three batched FFTs (the spectra of the
 vector, of the Gaussian factors and of the lag weights) and three dots over
 the bins. This equals the double sum up to float64 roundoff (~1e-14 of the
 row's second moment) and reduces the build cost from O(n_g^2 n_v n_c) to
@@ -61,7 +62,7 @@ DEFAULT_N_C = 500
 DEFAULT_S_MAX = 100.0
 
 # names the build's bits: bump it whenever a build change moves any entry
-_MAGIC = b"NNGPLUT3"
+_MAGIC = b"NNGPLUT4"
 _PHI_TAG_BYTES = 16
 # cache file header: magic, phi tag, n_g, n_v, n_c, u_max, s_max
 _HEADER = struct.Struct(f"<8s{_PHI_TAG_BYTES}s3q2d")
@@ -225,7 +226,7 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
 
     lags, fold, ramp = _pair_constants(grid.u)
     f1d = np.empty(grid.n_v)
-    f2d = np.empty((grid.n_v, grid.n_c))
+    f2d = np.zeros((grid.n_v, grid.n_c))
     f1d[0] = phi0_sq
     f2d[0, :] = phi0_sq
 
@@ -235,12 +236,14 @@ def populate(grid: QuadratureGrid, phi) -> LookupTable:
         # diagonal table: E[phi(u)^2] under N(0, s)
         w1 = np.exp(-np.outer(1.0 / (2.0 * s_rows), grid.u ** 2))
         f1d[rows] = (w1 @ (phi_u * phi_u)) / w1.sum(axis=1)
-        # grid.c is symmetric: column n_c-1-j sits at -c_j. With odd n_c the
-        # middle column is its own mirror and keeps its +c value, written last.
-        for j in range(grid.n_c // 2, grid.n_c):
+        # grid.c is symmetric: column n_c-1-j sits at -c_j, where an odd phi's
+        # F is exactly -F(c_j). With odd n_c the middle column, at c = 0, is
+        # its own mirror: it keeps its +c value, written last, or stays 0 for
+        # an odd phi.
+        for j in range((grid.n_c + act.odd) // 2, grid.n_c):
             num_pos, num_neg, den = _fft_pair(phi_u, grid.u, s_rows, float(grid.c[j]),
                                               lags, fold, ramp)
-            f2d[rows, grid.n_c - 1 - j] = num_neg / den
+            f2d[rows, grid.n_c - 1 - j] = (-num_pos if act.odd else num_neg) / den
             f2d[rows, j] = num_pos / den
 
     # every row is computed on its own and each task writes its own rows; the

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernel import NetworkHyperparams, _layer_map, _Plan, _read_off
+from .kernel import NetworkHyperparams, _layer_map, _Plan
 # phase does not call build_kernel_matrix (a sweep reads every cell off one
 # plan); perfbench/tracing.py patches nngp.phase.build_kernel_matrix by name
 from .kernel import build_kernel_matrix  # noqa: F401
@@ -321,7 +321,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
                 failures[i, j] = plan_failure
                 continue
             try:
-                k = next(_read_off(plan, hp, table, [depth]))
+                k = next(plan.read_off(hp, table, [depth]))
                 with _solve_mean(k, t_train, hp, None) as (mean, _, _):
                     cells[i, j] = _accuracy(mean, t_valid)
             except (ArithmeticError, ValueError) as exc:

@@ -131,6 +131,26 @@ def test_run_config_with_unknown_grid_key_exits_as_usage_error(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+def test_run_config_with_misspelt_keys_in_every_section_exits_as_usage_error(tmp_path, capsys):
+    # each of these used to load silently: sigma_w2 1.0, n_train None, no
+    # report and seed 0
+    payload = {"dataset": {"format": "synthetic", "d_out": 4, "n_trian": 50},
+               "model": {"sw2": 1.45},
+               "output": {"report": str(tmp_path / "r.json")},
+               "sed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--config", str(cfg_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown model keys sw2; known keys: depth, sigma_w2" in err
+    assert "unknown dataset keys n_trian;" in err
+    assert "unknown top-level keys output, sed;" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_regress_end_to_end(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"

@@ -19,7 +19,7 @@ from nngp import (
 )
 from nngp.activations import RELU, TANH
 from nngp.kernel import (_TRANSFER_COSINES, _common_squared_norm, _compose, _layer_map,
-                         _mirror_lower, _Plan, _read_off)
+                         _mirror_lower, _Plan)
 
 from .conftest import constant_norm_points
 from .oracles import (
@@ -335,6 +335,11 @@ _READ_OFF_CASES = {
                                    lambda ds: (ds.train_inputs[:1], ds.valid_inputs)),
     "ragged_last_block": ("tanh", 1.5, 0.1, 5, "tanh_table",
                           lambda ds: (ds.train_inputs[:797], ds.valid_inputs)),
+    # squared norm ~3e-320: the bucket width overflows, so one bucket holds
+    # every node and entry
+    "subnormal_norms": ("relu", 1.45, 0.28, 5, "relu_table",
+                        lambda ds: (1e-160 * constant_norm_points(30, 3, 15),
+                                    1e-160 * constant_norm_points(7, 3, 16))),
 }
 
 
@@ -366,8 +371,8 @@ def test_kept_plan_reads_off_build_kernel_matrix_bitwise(case, request, blob_dat
     table = request.getfixturevalue(table_name)
     x_train, x_test = inputs(blob_dataset)
     plan = _Plan(x_train, x_test, keep=True)
-    first = next(_read_off(plan, hp, table, [depth]))
-    again = next(_read_off(plan, hp, table, [depth]))
+    first = next(plan.read_off(hp, table, [depth]))
+    again = next(plan.read_off(hp, table, [depth]))
     k = build_kernel_matrix(x_train, hp, table, x_test)
     assert np.array_equal(first.entries, k.entries)
     assert np.array_equal(again.entries, k.entries)

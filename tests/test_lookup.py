@@ -137,7 +137,7 @@ def test_default_table_equals_naive_double_sum_where_F_is_small(phi_name, phi_fn
             assert abs(table.f2d[i, j] - want) <= 1e-13 * table.f1d[i], (grid.s[i], grid.c[j])
 
 
-def _one_call_tables(grid, phi_fn):
+def _one_call_tables(grid, phi_fn, odd):
     """f2d and f1d with every variance row in one _fft_pair call per +-c pair."""
     phi_u = phi_fn(grid.u)
     s_pos = grid.s[1:]
@@ -145,9 +145,9 @@ def _one_call_tables(grid, phi_fn):
     f1d = np.concatenate(([phi_fn(0.0) ** 2], (w1 @ (phi_u * phi_u)) / w1.sum(axis=1)))
     constants = _pair_constants(grid.u)
     f2d = np.full((grid.n_v, grid.n_c), phi_fn(0.0) ** 2)
-    for j in range(grid.n_c // 2, grid.n_c):
+    for j in range((grid.n_c + odd) // 2, grid.n_c):
         num_pos, num_neg, den = _fft_pair(phi_u, grid.u, s_pos, float(grid.c[j]), *constants)
-        f2d[1:, grid.n_c - 1 - j] = num_neg / den
+        f2d[1:, grid.n_c - 1 - j] = (-num_pos if odd else num_neg) / den
         f2d[1:, j] = num_pos / den
     return f2d, f1d
 
@@ -177,11 +177,11 @@ def test_populate_in_row_chunks_equals_one_call_build(phi_name, phi_fn):
     # the chunks reproduce the one-call build bit for bit, on the benchmark's
     # table_build grid and with a ragged last chunk
     grid = build_grid(501, 501, 20, None, 100.0)
-    f2d, f1d = _one_call_tables(grid, phi_fn)
+    f2d, f1d = _one_call_tables(grid, phi_fn, phi_name == "tanh")
     table = populate(grid, phi_name)
     assert np.array_equal(table.f2d, f2d)
     assert np.array_equal(table.f1d, f1d)
-    f2d, f1d = _one_call_tables(RAGGED_GRID, phi_fn)
+    f2d, f1d = _one_call_tables(RAGGED_GRID, phi_fn, phi_name == "tanh")
     table = populate(RAGGED_GRID, phi_name)
     assert np.array_equal(table.f2d, f2d)
     assert np.array_equal(table.f1d, f1d)
@@ -251,6 +251,18 @@ def test_relu_independent_case_matches_closed_form(relu_table):
 
 def test_tanh_zero_variance_expectation_is_zero(tanh_table):
     assert interpolate(tanh_table, 0.0, 0.0) == 0.0
+
+
+def test_odd_phi_table_is_exactly_odd(tanh_table):
+    # F(-c) = -F(c) bit for bit, so F(0) is exactly 0 at any variance: a
+    # chaotic kernel at sb2 = 0 settles on c* = 0, not on a roundoff bias
+    assert np.array_equal(tanh_table.f2d[:, ::-1], -tanh_table.f2d)
+    for q in (1e-3, 0.37, 1.0, 7.0, 42.5, 100.0):
+        assert interpolate(tanh_table, 0.0, q) == 0.0
+    # odd n_c: the middle column, its own mirror at c = 0, is 0
+    table = populate(build_grid(101, 21, 25, 10.0, 25.0), "tanh")
+    assert np.array_equal(table.f2d[:, ::-1], -table.f2d)
+    assert not table.f2d[:, 12].any()
 
 
 def test_interpolate_zero_variance_returns_phi0_squared(small_relu_table):

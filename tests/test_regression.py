@@ -12,9 +12,9 @@ from nngp import (
     calibration_bins,
     evaluate,
     posterior,
+    regression,
     sample_prior,
 )
-
 from nngp.regression import _PANEL
 
 from .conftest import constant_norm_points
@@ -277,6 +277,30 @@ def test_posterior_restores_the_kernel_after_a_late_failed_pivot(tanh_table):
     direct = posterior(k, t, noise=pred.noise_used)
     assert pred.mean.tobytes() == direct.mean.tobytes()
     assert pred.variance.tobytes() == direct.variance.tobytes()
+
+
+def test_posterior_restores_the_kernel_when_the_variance_solve_raises(monkeypatch, tanh_table):
+    # the second panel's triangular solve raises while the factor sits in
+    # K_DD: the error propagates and the kernel comes back whole
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    k = build_kernel_matrix(constant_norm_points(40, 8, seed=12), hp, tanh_table,
+                            constant_norm_points(_PANEL + 10, 8, seed=13))
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    before = k.entries.tobytes()
+    solve = regression.solve_triangular
+    calls = []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("solve failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "solve_triangular", failing_solve)
+    with pytest.raises(MemoryError, match="solve failed"):
+        posterior(k, t, hp)
+    assert len(calls) == 2
+    assert k.entries.tobytes() == before
 
 
 def test_kernel_blocks_are_column_contiguous(tanh_table):
