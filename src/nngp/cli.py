@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``table build``, ``kernel``, ``regress``, ``phase``, ``sweep``,
-``verify``, ``run``. All CSV output uses '.' decimals, comma separators and
-a header row. The lookup-table cache location is taken from NNGP_CACHE_DIR.
+``verify``, ``run``. ``run`` and ``sweep`` read one JSON RunConfig; a sweep
+takes everything but its two variance axes from it, as ``run`` does. All CSV
+output uses '.' decimals, comma separators and a header row. The
+lookup-table cache location is taken from NNGP_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -129,9 +131,13 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ds = build_dataset(RunConfig.from_json(args.dataset))
-    table = lookup.load_or_build(args.phi, _grid_from_args(args))
-    sweep = heatmap_sweep(ds, args.phi, args.depth, *variance_grid(args.cells), table)
+    cfg = RunConfig.from_json(args.config)
+    if cfg.noise != DEFAULT_NOISE:
+        raise ValueError(f"model.noise is {cfg.noise!r}; a sweep scores every cell "
+                         f"at noise {DEFAULT_NOISE!r}")
+    ds = build_dataset(cfg)
+    table = lookup.load_or_build(cfg.phi, lookup.build_grid(**cfg.grid))
+    sweep = heatmap_sweep(ds, cfg.phi, cfg.depth, *variance_grid(args.cells), table)
     rows = [[repr(float(sweep.sw2_grid[i])), repr(float(sweep.sb2_grid[j])),
              repr(float(sweep.cells[i, j]))]
             for i in range(sweep.sw2_grid.size) for j in range(sweep.sb2_grid.size)]
@@ -225,13 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--out", required=True)
     p_phase.set_defaults(fn=cmd_phase)
 
-    p_sweep = sub.add_parser("sweep", help="accuracy heatmap over (sw2, sb2)")
-    p_sweep.add_argument("--dataset", required=True,
-                         help="JSON config whose dataset section names the data")
-    _add_phi_option(p_sweep)
-    p_sweep.add_argument("--depth", type=int, required=True)
+    p_sweep = sub.add_parser(
+        "sweep", help="accuracy heatmap over (sw2, sb2)",
+        description="Validation accuracy on each (sw2, sb2) cell. The dataset, split, "
+                    "n_train, seed, phi, depth and grid come from the config, with "
+                    "the defaults of nngp run; the swept axes replace model.sigma_w2 "
+                    "and model.sigma_b2, and the outputs section is not used.")
+    p_sweep.add_argument("--config", required=True,
+                         help="JSON config as for nngp run; its model.noise must be "
+                              "the default")
     p_sweep.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
-    _add_grid_options(p_sweep)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(fn=cmd_sweep)
 

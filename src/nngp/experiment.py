@@ -57,6 +57,13 @@ def _refuse_unknown(*sections) -> None:
         raise ValueError("\n".join(problems))
 
 
+def _json_object(value, name: str) -> dict:
+    """value if it is a JSON object; else ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {json.dumps(value)[:40]}")
+    return value
+
+
 def find_mnist(data_dir=None) -> dict | None:
     """Locate the four IDX files under data_dir or $NNGP_DATA_DIR."""
     base = data_dir or os.environ.get("NNGP_DATA_DIR")
@@ -96,11 +103,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        """The config in a JSON file; a key left out takes the field's default,
-        and an unknown key in any section raises ValueError naming it."""
-        cfg = json.loads(Path(path).read_text())
-        sections = {name: dict(cfg.get(name, {})) for name in _CONFIG_SECTIONS}
+        """The config in a JSON file; a key left out takes the field's default.
+        A config or section that is not a JSON object, or an unknown key in any
+        section, raises ValueError naming it."""
+        cfg = _json_object(json.loads(Path(path).read_text()), f"the config {path}")
+        sections = {name: dict(_json_object(cfg.get(name, {}), name))
+                    for name in _CONFIG_SECTIONS}
+        _json_object(cfg.get("grid", {}), "grid")
         ds = sections["dataset"]
+        _json_object(ds.get("synthetic", {}), "dataset.synthetic")
         paths = {k: ds.pop(k) for k in list(ds) if k.endswith(tuple(f[1:] for f in _FILE_KEYS))}
         _refuse_unknown(("top-level", cfg, (*_CONFIG_SECTIONS, "grid", "seed")),
                         ("dataset", ds, (*_CONFIG_SECTIONS["dataset"], *_FILE_KEYS)),

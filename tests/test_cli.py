@@ -18,6 +18,10 @@ def small_grid_args():
     return ["--ng", "201", "--nv", "81", "--nc", "100", "--smax", "16", "--umax", "16"]
 
 
+# the grid of small_grid_args as a config's grid section
+SMALL_GRID = {"n_g": 201, "n_v": 81, "n_c": 100, "s_max": 16.0, "u_max": 16.0}
+
+
 def write_blob_csv(path, n, seed, d_in=8, d_out=4):
     from nngp import synthetic_blobs
 
@@ -101,7 +105,7 @@ def test_input_error_exits_as_usage_error(tmp_path, capsys, case, message):
         train = tmp_path / "missing.csv"
     model = ("--phi", "tanh", "--depth", "2", *small_grid_args())
     if case == "missing_dataset":
-        argv = ("sweep", "--dataset", str(tmp_path / "missing.json"), *model,
+        argv = ("sweep", "--config", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "sweep.csv"))
     else:
         argv = ("regress", "--train", str(train), "--test", str(test), *model,
@@ -265,12 +269,13 @@ def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
     assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True)
 
 
-def write_sweep_config(tmp_path):
+def write_sweep_config(tmp_path, **sections):
     cfg = {
         "dataset": {"format": "synthetic", "d_out": 4,
                     "synthetic": {"n": 160, "d_in": 8, "separation": 2.0,
                                   "n_test": 30, "n_valid": 50, "seed": 3}},
         "seed": 3,
+        **sections,
     }
     cfg_path = tmp_path / "data.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -279,9 +284,9 @@ def write_sweep_config(tmp_path):
 
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    rc = run_cli("sweep", "--dataset", str(write_sweep_config(tmp_path)), "--phi", "tanh",
-                 "--depth", "2", "--cells", "2", *small_grid_args(),
-                 "--out", str(out))
+    cfg_path = write_sweep_config(tmp_path, model={"phi": "tanh", "depth": 2},
+                                  grid=SMALL_GRID)
+    rc = run_cli("sweep", "--config", str(cfg_path), "--cells", "2", "--out", str(out))
     assert rc == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["sw2", "sb2", "accuracy"]
@@ -291,9 +296,9 @@ def test_sweep_csv(tmp_path):
 def test_sweep_reports_failed_cells_on_stderr(tmp_path, capsys):
     # relu at sw2 = 5 grows the variance 2.5x a layer, past s_max = 16
     out = tmp_path / "sweep.csv"
-    rc = run_cli("sweep", "--dataset", str(write_sweep_config(tmp_path)), "--phi", "relu",
-                 "--depth", "6", "--cells", "2", *small_grid_args(),
-                 "--out", str(out))
+    cfg_path = write_sweep_config(tmp_path, model={"phi": "relu", "depth": 6},
+                                  grid=SMALL_GRID)
+    rc = run_cli("sweep", "--config", str(cfg_path), "--cells", "2", "--out", str(out))
     assert rc == 0
     captured = capsys.readouterr()
     assert captured.err.startswith("2 of 4 cells failed; first at sw2=5.000 sb2=0.000: "
@@ -309,18 +314,101 @@ def test_sweep_without_a_validation_split_exits_as_usage_error(tmp_path, capsys)
     cfg = {"dataset": {"format": "synthetic", "d_out": 4,
                        "synthetic": {"n": 120, "d_in": 8, "separation": 2.0,
                                      "n_test": 20, "n_valid": 0, "seed": 3}},
+           "model": {"phi": "tanh", "depth": 2},
+           "grid": SMALL_GRID,
            "seed": 3}
     cfg_path = tmp_path / "data.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "sweep.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", "--dataset", str(cfg_path), "--phi", "tanh", "--depth", "2",
-                "--cells", "2", *small_grid_args(), "--out", str(out))
+        run_cli("sweep", "--config", str(cfg_path), "--cells", "2", "--out", str(out))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: nngp")
     assert "the validation split is empty" in err
     assert not out.exists()
+
+
+def test_sweep_reads_phi_depth_and_grid_from_the_config(tmp_path, capsys,
+                                                        small_tanh_table):
+    from nngp import RunConfig, build_dataset, heatmap_sweep, variance_grid
+
+    out = tmp_path / "sweep.csv"
+    cfg_path = write_sweep_config(tmp_path, model={"phi": "tanh", "depth": 2},
+                                  grid=SMALL_GRID)
+    assert run_cli("sweep", "--config", str(cfg_path), "--cells", "3",
+                   "--out", str(out)) == 0
+    sweep = heatmap_sweep(build_dataset(RunConfig.from_json(cfg_path)), "tanh", 2,
+                          *variance_grid(3), small_tanh_table)
+    expected = [["sw2", "sb2", "accuracy"]] + [
+        [repr(float(sw2)), repr(float(sb2)), repr(float(sweep.cells[i, j]))]
+        for i, sw2 in enumerate(sweep.sw2_grid) for j, sb2 in enumerate(sweep.sb2_grid)]
+    assert list(csv.reader(out.read_text().splitlines())) == expected
+    best = sweep.argmax()
+    assert capsys.readouterr().out == (
+        f"best cell sw2={best[0]:.3f} sb2={best[1]:.3f} accuracy={best[2]:.4f}\n")
+
+
+def test_sweep_refuses_a_config_noise_it_would_not_use(tmp_path, capsys, monkeypatch):
+    import nngp.cli
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("the data was read for a refused noise")
+
+    monkeypatch.setattr(nngp.cli, "build_dataset", no_data)
+    out = tmp_path / "sweep.csv"
+    cfg_path = write_sweep_config(tmp_path, model={"noise": 1e-4})
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--config", str(cfg_path), "--cells", "2", "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "model.noise is 0.0001; a sweep scores every cell at noise 1e-10" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,rest,message", [
+    ("--dataset", (), "the following arguments are required: --config"),
+    ("--config", ("--phi", "tanh", "--depth", "2"),
+     "unrecognized arguments: --phi tanh --depth 2"),
+])
+def test_sweep_flags_that_the_config_replaced_are_usage_errors(tmp_path, capsys, flag, rest,
+                                                               message):
+    cfg_path = write_sweep_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", flag, str(cfg_path), *rest, "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("payload,message", [
+    ({"model": 3}, "model must be a JSON object, not 3"),
+    ({"dataset": {"format": "synthetic", "synthetic": 5}},
+     "dataset.synthetic must be a JSON object, not 5"),
+    ({"outputs": None}, "outputs must be a JSON object, not null"),
+    ([1], "cfg.json must be a JSON object, not [1]"),
+    ("cfg", 'cfg.json must be a JSON object, not "cfg"'),
+    ({"grid": [1]}, "grid must be a JSON object, not [1]"),
+    ({"dataset": "x"}, 'dataset must be a JSON object, not "x"'),
+], ids=["model_number", "synthetic_number", "outputs_null", "config_list",
+        "config_string", "grid_list", "dataset_string"])
+def test_config_of_non_objects_exits_as_usage_error(tmp_path, capsys, command, payload,
+                                                    message):
+    # each used to end in a TypeError or AttributeError traceback, or a
+    # message about a dict update
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    extra = ("--out", str(tmp_path / "sweep.csv")) if command == "sweep" else ()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", str(cfg_path), *extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nngp")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_run_without_a_test_split_exits_as_usage_error(tmp_path, capsys, monkeypatch):

@@ -56,6 +56,14 @@ def test_idx_bad_magic(tmp_path):
         load_mnist_idx(ip, lp)
 
 
+def test_idx_labels_bad_magic(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    lp.write_bytes(struct.pack(">II", 2050, 1) + b"\0")
+    with pytest.raises(DataFormatError, match=r"bad magic 2050 at byte offset 0 "
+                                              r"\(expected 2049\)"):
+        load_mnist_idx(ip, lp)
+
+
 def test_idx_truncated_payload(tmp_path):
     ip = tmp_path / "img"
     ip.write_bytes(struct.pack(">IIII", 2051, 2, 28, 28) + b"\0" * 100)
@@ -104,6 +112,13 @@ def test_cifar_record_size_mismatch(tmp_path):
         load_cifar10_binary(p)
 
 
+def test_cifar_label_above_nine(tmp_path):
+    p = tmp_path / "batch.bin"
+    p.write_bytes(bytes([3]) + bytes(3072) + bytes([12]) + bytes(3072))
+    with pytest.raises(DataFormatError, match="label 12 at record 1"):
+        load_cifar10_binary(p)
+
+
 def test_cifar_empty_file_is_empty_dataset(tmp_path):
     p = tmp_path / "empty.bin"
     p.write_bytes(b"")
@@ -127,6 +142,17 @@ def test_csv_non_numeric_cell_names_row_and_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("f0,label\n1.0,2\nodd,1\n")
     with pytest.raises(DataFormatError, match="row 2, column 'f0'"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("f0,label\n1.0,2\n3.0\n", "row 2 has 1 cells, header has 2"),
+    ("f0,label\n1.0,two\n", "non-numeric cell at row 1, column 'label'"),
+])
+def test_csv_malformed_row_names_it(tmp_path, text, message):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError, match=message):
         load_csv(p)
 
 
@@ -224,6 +250,12 @@ def test_preprocess_rejects_out_of_range_label():
     x = np.ones((3, 4))
     with pytest.raises(ValueError, match="label"):
         preprocess(x, np.array([0, 5, 1]), d_out=3, split_sizes=(3, 0, 0), seed=0)
+
+
+def test_preprocess_rejects_labels_not_matching_the_inputs():
+    with pytest.raises(ValueError, match=r"need \(n, d\) inputs and \(n,\) labels, "
+                                         r"got \(3, 4\), \(2,\)"):
+        preprocess(np.ones((3, 4)), np.array([0, 1]), d_out=2, split_sizes=(2, 0, 0), seed=0)
 
 
 def test_subset_takes_first_training_points():

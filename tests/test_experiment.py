@@ -179,6 +179,32 @@ def test_config_json_round_trip(tmp_path):
     assert cfg.noise == 1e-8
 
 
+def test_config_split_from_json_is_a_tuple(tmp_path):
+    payload = {"dataset": {"format": "synthetic", "d_out": 4, "split": [50, 20, 30],
+                           "synthetic": {"n": 120, "d_in": 8}}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(payload))
+    cfg = RunConfig.from_json(p)
+    assert cfg.split == (50, 20, 30)
+    assert build_dataset(cfg).split == (50, 20, 30)
+
+
+def test_find_mnist_needs_all_four_files(tmp_path, monkeypatch):
+    from nngp.experiment import MNIST_FILES
+
+    monkeypatch.delenv("NNGP_DATA_DIR", raising=False)
+    assert find_mnist() is None
+    stems = list(MNIST_FILES.values())
+    for stem in stems[:2]:
+        (tmp_path / stem).write_bytes(b"")
+    (tmp_path / (stems[2] + ".gz")).write_bytes(b"")
+    assert find_mnist(tmp_path) is None
+    (tmp_path / stems[3]).write_bytes(b"")
+    monkeypatch.setenv("NNGP_DATA_DIR", str(tmp_path))
+    assert find_mnist() == {key: str(tmp_path / (stem + ".gz" if i == 2 else stem))
+                            for i, (key, stem) in enumerate(MNIST_FILES.items())}
+
+
 def test_config_missing_file_rejected(tmp_path):
     payload = {"dataset": {"format": "csv", "path": str(tmp_path / "nope.csv")}}
     p = tmp_path / "cfg.json"

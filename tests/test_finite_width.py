@@ -97,6 +97,16 @@ def test_widths_must_match_depth():
         sample_empirical_kernel(pts, hp, (8, 8), 10, seed=0)
 
 
+@pytest.mark.parametrize("points,n_networks,message", [
+    (np.ones(4), 10, r"points must be \(n, d_in\), got shape \(4,\)"),
+    (np.ones((2, 4)), 0, "n_networks must be >= 1, got 0"),
+])
+def test_points_and_network_count_are_checked(points, n_networks, message):
+    hp = NetworkHyperparams(depth=1, sigma_w2=1.0, sigma_b2=0.0, phi="relu")
+    with pytest.raises(ValueError, match=message):
+        sample_empirical_kernel(points, hp, (8,), n_networks, seed=0)
+
+
 def test_exploding_activations_name_the_layer():
     pts = constant_norm_points(2, 4, seed=9)
     hp = NetworkHyperparams(depth=3, sigma_w2=1e200, sigma_b2=0.0, phi="relu")

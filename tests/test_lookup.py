@@ -216,6 +216,13 @@ def test_populate_rejects_nonfinite_activation():
         populate(build_grid(51, 5, 6, 4.0, 9.0), exploding)
 
 
+def test_populate_rejects_an_activation_not_finite_at_zero():
+    # an even n_g keeps u = 0 off the grid, so only phi(0) is not finite
+    pole = Activation("pole", lambda u: np.where(u == 0.0, np.nan, u), odd=False)
+    with pytest.raises(NonFiniteActivationError, match=r"phi\(0\) is not finite"):
+        populate(build_grid(50, 5, 6, 4.0, 9.0), pole)
+
+
 def test_custom_activation_table_usable_in_session():
     softsign = Activation("softsign", lambda u: u / (1.0 + np.abs(u)), odd=True)
     grid = build_grid(101, 21, 24, 10.0, 25.0)
@@ -412,6 +419,14 @@ def test_direct_quadrature_matches_relu_closed_form():
         assert a == pytest.approx(b, rel=2e-3, abs=1e-9)
 
 
+@pytest.mark.parametrize("k_xx,k_yy", [(0.0, 2.0), (2.0, 0.0)])
+def test_direct_quadrature_with_one_variance_at_zero(k_xx, k_yy):
+    # E[phi(0) phi(v)] = E[cos v] = exp(-s / 2) under N(0, s), for either side
+    cosine = Activation("cosine", np.cos, odd=False)
+    got = expectation_direct(cosine, 0.0, k_xx, k_yy)
+    assert got == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
 def test_direct_quadrature_matches_gauss_hermite_for_tanh():
     grid = default_grid()
     rng = np.random.default_rng(9)
@@ -499,6 +514,23 @@ def test_load_rejects_bad_magic(tmp_path):
         load_table(path)
 
 
+def test_load_rejects_a_file_shorter_than_the_header(tmp_path):
+    path = tmp_path / "short.lut"
+    path.write_bytes(_MAGIC)
+    with pytest.raises(ValueError, match=r"truncated header \(8 bytes\)"):
+        load_table(path)
+
+
+def test_save_refuses_a_phi_tag_longer_than_16_bytes(tmp_path, small_relu_table):
+    long_name = Activation("a" * 17, RELU.fn, odd=False)
+    table = LookupTable(small_relu_table.grid, small_relu_table.f2d,
+                        small_relu_table.f1d, long_name)
+    path = tmp_path / "long.lut"
+    with pytest.raises(ValueError, match="nonlinearity tag longer than 16 bytes"):
+        save_table(table, path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_load_rejects_truncated_file(tmp_path, small_relu_table):
     path = tmp_path / "trunc.lut"
     save_table(small_relu_table, path)
@@ -513,6 +545,16 @@ def test_cache_roundtrip(tmp_path):
     assert cache_path("relu", grid, tmp_path).exists()
     second = load_or_build("relu", grid, directory=tmp_path)
     np.testing.assert_array_equal(first.f2d, second.f2d)
+
+
+def test_cache_dir_defaults_to_the_home_cache(tmp_path, monkeypatch):
+    from nngp.lookup import cache_dir
+
+    monkeypatch.delenv("NNGP_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cache_dir() == tmp_path / ".cache" / "nngp"
+    monkeypatch.setenv("NNGP_CACHE_DIR", str(tmp_path / "elsewhere"))
+    assert cache_dir() == tmp_path / "elsewhere"
 
 
 def test_cache_file_of_another_phi_is_rebuilt(tmp_path):

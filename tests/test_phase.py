@@ -53,6 +53,19 @@ def test_relu_divergence_at_boundary():
     assert math.isinf(variance_fixed_point(hp("relu", 2.5, 0.1)))
 
 
+def test_relu_at_the_critical_point_returns_the_starting_variance():
+    # q <- 2 q / 2 fixes every q; the iteration starts from q0 = sb2 + sw2
+    assert variance_fixed_point(hp("relu", 2.0, 0.0)) == 2.0
+
+
+def test_crossing_walks_up_from_a_start_where_the_map_rises():
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    # y - x = 0.5, 0.5, -0.5, -1: the iterates rise to the root on segment 1
+    assert phase._crossing(x, np.array([0.5, 1.5, 1.5, 2.0]), 0) == (1.5, 1)
+    # above the diagonal at every node: the iterates leave the last node
+    assert phase._crossing(x, x + 0.5, 1) is None
+
+
 def test_relu_table_path_matches_closed_form(relu_table):
     # the table's variance map against sb2 + sw2 q / 2: 1e-6 equivalence holds
     # while q sits well inside the tabulated range; truncation at u_max
@@ -393,6 +406,13 @@ def test_sweep_populates_all_cells(blob_dataset, tanh_table):
     assert np.all((sweep.cells >= 0) & (sweep.cells <= 1))
     best = sweep.argmax()
     assert sweep.cells.max() == best[2]
+
+
+def test_argmax_of_a_sweep_without_a_populated_cell_raises():
+    sweep = phase.HeatmapSweep(np.array([1.0]), np.array([0.0, 0.5]),
+                               np.full((1, 2), np.nan), {(0, 0): "a", (0, 1): "b"})
+    with pytest.raises(ValueError, match="no populated cells"):
+        sweep.argmax()
 
 
 def test_sweep_records_failed_cells_and_continues(blob_dataset, small_relu_table):

@@ -158,6 +158,25 @@ def test_noise_used_recorded_without_escalation():
     assert pred.noise_used == 0.25
 
 
+@pytest.mark.parametrize("targets,noise,message", [
+    (np.ones((2, 1)), None, "pass hp or an explicit noise variance"),
+    (np.ones((3, 1)), 0.25, "targets have 3 rows but kernel has 2 training points"),
+])
+def test_posterior_refuses_missing_noise_and_mismatched_targets(targets, noise, message):
+    k = make_kernel(np.eye(2), [[0.5, 0.5]], [1.0])
+    with pytest.raises(ValueError, match=message):
+        posterior(k, targets, noise=noise)
+
+
+def test_posterior_reads_1d_targets_as_one_column():
+    k = make_kernel(np.eye(2), [[0.5, 0.5]], [1.0])
+    flat = posterior(k, np.array([1.0, 3.0]), noise=0.25)
+    column = posterior(k, np.array([[1.0], [3.0]]), noise=0.25)
+    assert flat.mean.shape == (1, 1)
+    np.testing.assert_array_equal(flat.mean, column.mean)
+    np.testing.assert_array_equal(flat.variance, column.variance)
+
+
 def test_posterior_without_test_points(tanh_table):
     hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
     k = build_kernel_matrix(constant_norm_points(12, 8, seed=15), hp, tanh_table)
@@ -387,6 +406,12 @@ def test_calibration_bin_size_validation():
     pred = PosteriorPrediction(mean=np.zeros((2, 2)), variance=np.zeros(2), noise_used=0.0)
     with pytest.raises(ValueError, match="bin_size"):
         calibration_bins(pred, np.zeros((2, 2)), 0)
+
+
+def test_calibration_shape_mismatch():
+    pred = PosteriorPrediction(mean=np.zeros((2, 2)), variance=np.zeros(2), noise_used=0.0)
+    with pytest.raises(ValueError, match=r"target shape \(2, 3\) != prediction shape \(2, 2\)"):
+        calibration_bins(pred, np.zeros((2, 3)), 1)
 
 
 def test_calibration_on_well_specified_gp(tanh_table):
