@@ -29,6 +29,17 @@ from .regression import calibration_bins, evaluate, posterior
 _CELLS_HELP = "points on each variance axis: sw2 in [0.1, 5], sb2 in [0, 2]"
 
 
+def _cells(text: str) -> int:
+    """--cells as an int >= 1; argparse reports anything else as a usage error."""
+    try:
+        cells = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+    if cells < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {cells}")
+    return cells
+
+
 def _grid_from_args(args) -> lookup.QuadratureGrid:
     return lookup.build_grid(args.ng, args.nv, args.nc, args.umax, args.smax)
 
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phase = sub.add_parser("phase", help="fixed-point diagnostics grid to CSV")
     _add_phi_option(p_phase)
-    p_phase.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
+    p_phase.add_argument("--cells", type=_cells, default=30, help=_CELLS_HELP)
     _add_grid_options(p_phase)
     p_phase.add_argument("--out", required=True)
     p_phase.set_defaults(fn=cmd_phase)
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True,
                          help="JSON config as for nngp run; its model.noise must be "
                               "the default")
-    p_sweep.add_argument("--cells", type=int, default=30, help=_CELLS_HELP)
+    p_sweep.add_argument("--cells", type=_cells, default=30, help=_CELLS_HELP)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(fn=cmd_sweep)
 

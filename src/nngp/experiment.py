@@ -57,6 +57,14 @@ def _refuse_unknown(*sections) -> None:
         raise ValueError("\n".join(problems))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 def _json_object(value, name: str) -> dict:
     """value if it is a JSON object; else ValueError naming it."""
     if not isinstance(value, dict):
@@ -121,7 +129,7 @@ class RunConfig:
                   for name, values in sections.items() for k, v in values.items()}
         # a top-level seed overrides the dataset's
         fields.update((k, cfg[k]) for k in ("grid", "seed") if k in cfg)
-        if "split" in fields:
+        if isinstance(fields.get("split"), list):
             fields["split"] = tuple(fields["split"])
         return cls(dataset_paths=paths, **fields)
 
@@ -129,10 +137,34 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field of a wrong type or value, and
+        FileNotFoundError for a missing data file, before any data is read."""
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         _refuse_unknown(("grid", self.grid, tuple(inspect.signature(build_grid).parameters)),
                         ("synthetic", self.synthetic, _SYNTHETIC_KEYS))
+        split = self.split
+        checks = [
+            ("dataset.d_out", self.d_out, _is_int(self.d_out), "an integer"),
+            ("dataset.split", split, split is None or (
+                isinstance(split, (tuple, list)) and len(split) == 3
+                and all(map(_is_int, split))), "a list of three integers"),
+            ("dataset.n_train", self.n_train, self.n_train is None or _is_int(self.n_train),
+             "an integer"),
+            ("seed", self.seed, _is_int(self.seed), "an integer"),
+        ]
+        checks += [(f"dataset.{key}", value, isinstance(value, (str, os.PathLike)) or (
+                        isinstance(value, list)
+                        and all(isinstance(v, (str, os.PathLike)) for v in value)),
+                    "a path or a list of paths")
+                   for key, value in self.dataset_paths.items()]
+        checks += [(f"dataset.synthetic.{key}", value,
+                    _is_number(value) if key == "separation" else _is_int(value),
+                    "a number" if key == "separation" else "an integer")
+                   for key, value in self.synthetic.items()]
+        for name, value, ok, kind in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {kind}, not {value!r}")
         self.hyperparams()  # built for their own checks, before any data is read
         build_grid(**self.grid)
         for key, value in self.dataset_paths.items():

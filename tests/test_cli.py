@@ -411,6 +411,83 @@ def test_config_of_non_objects_exits_as_usage_error(tmp_path, capsys, command, p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("dataset,top,message", [
+    ({"split": 5}, {}, "dataset.split must be a list of three integers, not 5"),
+    ({"split": [100, 50]}, {}, "dataset.split must be a list of three integers"),
+    ({"split": [100, "50", 50]}, {}, "dataset.split must be a list of three integers"),
+    ({"d_out": "x"}, {}, "dataset.d_out must be an integer, not 'x'"),
+    ({"n_train": "5"}, {}, "dataset.n_train must be an integer, not '5'"),
+    ({"n_train": True}, {}, "dataset.n_train must be an integer, not True"),
+    ({}, {"seed": "a"}, "seed must be an integer, not 'a'"),
+    ({"seed": 1.5}, {}, "seed must be an integer, not 1.5"),
+    ({"synthetic": {"n": "10"}}, {}, "dataset.synthetic.n must be an integer, not '10'"),
+    ({"synthetic": {"separation": "1"}}, {},
+     "dataset.synthetic.separation must be a number, not '1'"),
+    ({"format": "csv", "path": 5}, {}, "dataset.path must be a path or a list of paths"),
+], ids=["split_number", "split_short", "split_string_entry", "d_out", "n_train",
+        "n_train_bool", "seed", "dataset_seed", "synthetic_n", "synthetic_separation",
+        "path_number"])
+def test_config_of_wrong_dataset_types_exits_as_usage_error(tmp_path, capsys, monkeypatch,
+                                                           command, dataset, top, message):
+    # each used to end in a TypeError traceback while the data was built,
+    # or, for n_train true, to run on one training point
+    import nngp.cli
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("the data was read for a refused config")
+
+    monkeypatch.setattr(nngp.cli, "build_dataset", no_data)
+    monkeypatch.setattr(nngp.cli, "run_experiment", no_data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"format": "synthetic", **dataset}, **top}))
+    extra = ("--out", str(tmp_path / "sweep.csv")) if command == "sweep" else ()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", str(cfg_path), *extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nngp")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cells", ["0", "-1"])
+def test_phase_refuses_cells_below_one(tmp_path, capsys, monkeypatch, cells):
+    # --cells 0 used to write a header-only CSV and exit 0
+    import nngp.cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was loaded for a refused --cells")
+
+    monkeypatch.setattr(nngp.cli.lookup, "load_or_build", no_table)
+    out = tmp_path / "phase.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("phase", "--phi", "tanh", "--cells", cells, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"argument --cells: must be at least 1, not {cells}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cells", ["0", "two"])
+def test_sweep_refuses_cells_below_one(tmp_path, capsys, monkeypatch, cells):
+    # --cells 0 used to load the data and the table, write a header-only CSV
+    # and then fail on "no populated cells"
+    import nngp.cli
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("the data was read for a refused --cells")
+
+    monkeypatch.setattr(nngp.cli, "build_dataset", no_data)
+    monkeypatch.setattr(nngp.cli.lookup, "load_or_build", no_data)
+    out = tmp_path / "sweep.csv"
+    cfg_path = write_sweep_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--config", str(cfg_path), "--cells", cells, "--out", str(out))
+    assert exc.value.code == 2
+    assert "argument --cells: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_without_a_test_split_exits_as_usage_error(tmp_path, capsys, monkeypatch):
     # it used to build the kernel, warn "Mean of empty slice" and write
     # "accuracy": NaN, which is not JSON, into the report

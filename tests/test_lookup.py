@@ -27,6 +27,7 @@ from nngp.lookup import (
     LookupTable,
     QuadratureGrid,
     _fft_pair,
+    _lag_spectrum,
     _pair_constants,
     cache_path,
     load_or_build,
@@ -113,13 +114,35 @@ def _naive_cell(phi_fn, u, s, c):
 @pytest.mark.parametrize("phi_name,phi_fn", [("relu", lambda u: np.maximum(u, 0.0)),
                                              ("tanh", np.tanh)])
 def test_populate_equals_naive_double_sum(phi_name, phi_fn, n_c):
-    grid = build_grid(101, 21, n_c, 10.0, 25.0)
-    table = populate(grid, phi_name)
-    rng = np.random.default_rng(0)
-    for i in rng.integers(1, grid.n_v, size=6):
-        for j in rng.integers(0, grid.n_c, size=6):
-            want = _naive_cell(phi_fn, grid.u, grid.s[i], grid.c[j])
-            assert table.f2d[i, j] == pytest.approx(want, rel=1e-10, abs=1e-13)
+    # an odd n_g has a node at the grid centre u = 0; an even one's centre
+    # falls between two nodes, so the -c sums' offset n_g-1 is odd
+    for n_g in (101, 100):
+        grid = build_grid(n_g, 21, n_c, 10.0, 25.0)
+        table = populate(grid, phi_name)
+        rng = np.random.default_rng(0)
+        for i in rng.integers(1, grid.n_v, size=6):
+            for j in rng.integers(0, grid.n_c, size=6):
+                want = _naive_cell(phi_fn, grid.u, grid.s[i], grid.c[j])
+                assert table.f2d[i, j] == pytest.approx(want, rel=1e-10, abs=1e-13), n_g
+
+
+# the default n_g, the even n_g below it, and the smallest even n_g whose
+# FFT length 128 leaves a single empty slot between the mirrored halves
+@pytest.mark.parametrize("n_g", [501, 500, 64])
+def test_lag_spectrum_equals_the_cosine_sum(n_g):
+    u = build_grid(n_g, 2, 2, None, 100.0).u
+    lags, fold, _ = _pair_constants(u)
+    nfft = 2 * (fold.size - 1)
+    s = np.array([0.2, 3.0, 100.0])
+    c = 0.3
+    coef = c / (2.0 * s * (1.0 - c * c))
+    got = _lag_spectrum(coef, lags, nfft)
+    t = np.exp(-np.outer(coef, lags * lags))
+    cos = np.cos(2.0 * np.pi * np.outer(np.arange(fold.size), np.arange(n_g)) / nfft)
+    want = t[:, :1] + 2.0 * t[:, 1:] @ cos[:, 1:].T
+    assert got.shape == want.shape
+    # W_0 = T_0 + 2 sum_m T_m is the row's largest bin
+    assert np.all(np.abs(got - want) <= 1e-13 * want[:, :1])
 
 
 @pytest.mark.parametrize("phi_name,phi_fn", [("relu", lambda u: np.maximum(u, 0.0)),
@@ -189,8 +212,8 @@ def test_populate_in_row_chunks_equals_one_call_build(phi_name, phi_fn):
 
 def test_populate_peak_memory_is_one_chunk_per_worker(monkeypatch):
     # 2048 variance rows on two workers: the tables plus each worker's chunk of
-    # work arrays, about five FFT-length rows per variance row (2.75 MiB here,
-    # bound 3.58 MiB); arrays over every variance row at once take 43 MiB
+    # work arrays, about three FFT-length rows per variance row (1.7-1.8 MiB
+    # here, bound 3.58 MiB); arrays over every variance row at once take 43 MiB
     _pin_cores(monkeypatch, 2)
     grid = build_grid(201, 2049, 4, 16.0, 16.0)
     nfft = 512
