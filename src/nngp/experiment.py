@@ -9,7 +9,6 @@ across runs of the same config.
 
 from __future__ import annotations
 
-import csv
 import inspect
 import json
 import os
@@ -146,6 +145,8 @@ class RunConfig:
         split = self.split
         checks = [
             ("dataset.d_out", self.d_out, _is_int(self.d_out), "an integer"),
+            ("dataset.d_out", self.d_out, not _is_int(self.d_out) or self.d_out >= 1,
+             "at least 1"),
             ("dataset.split", split, split is None or (
                 isinstance(split, (tuple, list)) and len(split) == 3
                 and all(map(_is_int, split))), "a list of three integers"),
@@ -223,13 +224,18 @@ def build_dataset(config: RunConfig) -> Dataset:
 
 
 def _write_predictions(path, pred, point_ids) -> None:
+    """One CSV row per test point: its id, the mean per class and the variance.
+
+    The bytes are those of ``csv.writer``: comma-joined fields and CRLF
+    line ends, each value by repr (no float repr needs quoting). The values
+    leave numpy once, by ``tolist``, instead of one float at a time.
+    """
     d_out = pred.mean.shape[1]
+    lines = [",".join(["point_id", *(f"mean_{j}" for j in range(d_out)), "variance"])]
+    values = np.column_stack([pred.mean, pred.variance]).tolist()
+    lines += [",".join([str(int(pid)), *map(repr, row)]) for pid, row in zip(point_ids, values)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_id"] + [f"mean_{j}" for j in range(d_out)] + ["variance"])
-        for i, pid in enumerate(point_ids):
-            w.writerow([int(pid)] + [repr(float(v)) for v in pred.mean[i]]
-                       + [repr(float(pred.variance[i]))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def run_experiment(config: RunConfig) -> dict:

@@ -46,6 +46,7 @@ changes any table entry, so that tables left by older code are rebuilt.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 import uuid
@@ -75,6 +76,17 @@ _ROW_CHUNK = 64
 
 class GridParameterError(ValueError):
     """A quadrature-grid precondition is violated."""
+
+
+def require_number(name: str, value, integer: bool = False,
+                   error: type[ValueError] = ValueError) -> None:
+    """Raise error naming name unless value is a real number, of integral
+    value when integer is set (3.0 is an integer); a bool or a string is
+    neither."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not ok or (integer and not float(value).is_integer()):
+        raise error(f"{name} must be {'an integer' if integer else 'a number'}, "
+                    f"not {value!r}")
 
 
 class TableRangeError(ValueError):
@@ -107,9 +119,12 @@ class QuadratureGrid:
     c: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n_g", "n_v", "n_c", "u_max", "s_max"):
+            require_number(name, getattr(self, name), name.startswith("n_"),
+                           GridParameterError)
         for name in ("n_g", "n_v", "n_c"):
             val = getattr(self, name)
-            if int(val) != val or val < 2:
+            if val < 2:
                 raise GridParameterError(f"{name} >= 2 violated: {name} = {val}")
             object.__setattr__(self, name, int(val))
         u_max, s_max = self.u_max, self.s_max
@@ -136,6 +151,7 @@ def build_grid(n_g: int = DEFAULT_N_G, n_v: int = DEFAULT_N_V, n_c: int = DEFAUL
     s_max < u_max^2 must hold, and the default keeps factor-2 headroom.
     """
     if u_max is None:
+        require_number("s_max", s_max, error=GridParameterError)
         u_max = float(np.sqrt(2.0 * s_max))
     return QuadratureGrid(n_g, n_v, n_c, u_max, s_max)
 

@@ -295,10 +295,10 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
     cell is read off one kernel plan over the train and validation inputs,
     so the Gram is formed and each entry's interval found once per sweep; a
     cell composes its layer map and gathers its kernel, a new buffer of the
-    Gram's size. One lookup table is shared across all cells. Per-cell
-    failures (variance escaping the table, factorization breakdown) leave
-    nan cells and record their reason; a plan that fails (inputs of unequal
-    norm) records its reason in every cell. A cell never warns "posterior
+    packed train triangle and the cross block. One lookup table is shared
+    across all cells. Per-cell failures (variance escaping the table,
+    factorization breakdown) leave nan cells and record their reason; a plan
+    that fails (inputs of unequal norm) records its reason in every cell. A cell never warns "posterior
     variance reached", since it forms no variance.
     """
     sw2_grid = np.asarray(sw2_grid, float)
@@ -322,8 +322,7 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
                 continue
             try:
                 k = next(plan.read_off(hp, table, [depth]))
-                with _solve_mean(k, t_train, hp, None) as (mean, _, _):
-                    cells[i, j] = _accuracy(mean, t_valid)
+                cells[i, j] = _accuracy(_solve_mean(k, t_train, hp, None)[0], t_valid)
             except (ArithmeticError, ValueError) as exc:
                 failures[i, j] = f"{type(exc).__name__}: {exc}"
     return HeatmapSweep(sw2_grid=sw2_grid, sb2_grid=sb2_grid, cells=cells,

@@ -10,34 +10,40 @@ computed from a single Cholesky factorization L L^T = K_DD + eps2 I shared
 by every target column. The mean is one step (``_solve_mean``): validate,
 check finiteness, factor, solve. :func:`posterior` adds the variance solve
 on top of it; a heatmap sweep, which scores only the mean's argmax, stops
-there and makes no variance solve. L is written over the lower triangle of the
-kernel's own K_DD block; the upper triangle keeps the kernel, and the lower
-triangle and diagonal are restored from it when the posterior is done, so
-the kernel is unchanged and no second n_train^2 array is made. The variance
-solve runs over panels of test columns. If the factorization fails the
-noise is multiplied by 10 and retried, up to a bounded number of attempts.
-Prior function draws use the same escalating factorization.
+there and makes no variance solve.
+
+There is one factorization path, :func:`_factor_with_escalation`, for the
+mean, the variance and prior draws. It factors K_DD's lower triangle in
+LAPACK's rectangular full packed (RFP) layout (``dpftrf``: two half-size
+``potrf`` calls, a ``trsm`` and a ``syrk``), then solves with ``dpftrs``
+(the mean) and ``dtfsm`` (the variance, over panels of test columns). A
+kernel read off its inputs holds K_DD in that layout, so L is written over
+the kernel's own packed block, and no second n_train^2 array is made; the
+kernel re-reads the block off its plan when it is next read or factored
+(see :class:`nngp.kernel.KernelMatrix`), so it is unchanged as seen from
+outside. A kernel built from dense rows is factored in a packed copy. If
+the factorization fails the noise is multiplied by 10 and retried, each
+attempt on a fresh block, up to a bounded number of attempts.
 
 Every BLAS and LAPACK call here is scipy's, never numpy's ``@`` or
 ``np.linalg``: numpy and scipy each bundle their own OpenBLAS with its own
 thread pool, and a posterior that woke both would have their spinning
 threads contend for the cores (the kernel's Gram follows the same rule, see
 :mod:`nngp.kernel`). Finiteness is checked once per input, a panel of
-columns at a time, and scipy's own rescans are switched off.
+columns at a time; scipy's RFP wrappers do not rescan.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.lapack import dpftrf, dpftrs, dtfsm
 
-from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, _mirror_lower,
-                     check_nonnegative, full_kernel)
+from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, _pack_lower,
+                     _rfp_diagonal, _unpack_lower, check_nonnegative, full_kernel)
 from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
@@ -79,42 +85,33 @@ def _check_finite(a: np.ndarray) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
-    """Copy the F-order a's upper triangle onto its lower one, through its
-    C-order transpose, and set its diagonal to diag."""
-    _mirror_lower(a.T)
-    np.fill_diagonal(a, diag)
-
-
-@contextmanager
-def _factor_with_escalation(a: np.ndarray, noise: float):
-    """Yield the lower Cholesky factor of a + noise I and the noise used,
+def _factor_with_escalation(n: int, fresh, noise: float) -> tuple[np.ndarray, float]:
+    """The lower Cholesky factor of A + noise I and the noise used,
     escalating the noise on failure.
 
-    ``a`` is symmetric and F-contiguous. The factor is written over its lower
-    triangle and diagonal; the upper triangle is never written, so a failed
-    attempt, and the exit, restore a from it and a saved diagonal. ``a`` is
-    checked for finiteness once, before it is written.
+    ``fresh()`` returns the n x n matrix A's lower triangle in RFP layout
+    (TRANSR = 'N', UPLO = 'L'), in an array the factor may overwrite; it is
+    called once per attempt, so each attempt starts from A itself. The
+    factor is returned in the same layout, in that array.
     """
-    _check_finite(a)
-    diag = a.diagonal().copy()
+    diagonal = _rfp_diagonal(n)
     current = float(noise)
-    try:
-        for _ in range(_MAX_NOISE_RETRIES + 1):
-            np.fill_diagonal(a, diag + current)
-            try:
-                chol, _ = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                _restore_lower(a, diag)
-                current = DEFAULT_NOISE if current == 0.0 else current * 10.0
-                continue
-            yield chol, current
-            return
-        raise FactorizationError(
-            f"Cholesky failed up to noise variance {current / 10.0}", noise=current / 10.0
-        )
-    finally:
-        _restore_lower(a, diag)
+    for _ in range(_MAX_NOISE_RETRIES + 1):
+        a = fresh()
+        a[diagonal] += current
+        chol, info = dpftrf(n, a, transr="N", uplo="L", overwrite_a=True)
+        if info == 0:
+            return chol, current
+        current = DEFAULT_NOISE if current == 0.0 else current * 10.0
+    raise FactorizationError(
+        f"Cholesky failed up to noise variance {current / 10.0}", noise=current / 10.0
+    )
+
+
+def solve_triangular(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b, for the lower Cholesky factor L held in RFP layout as chol and
+    an F-order b, in a new array."""
+    return dtfsm(1.0, chol, b, transr="N", side="L", uplo="L", trans="N")
 
 
 def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
@@ -132,18 +129,20 @@ def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
     if n_draws == 0:
         return np.empty((0, n))
     z = np.random.default_rng(seed).standard_normal((n, n_draws))
-    with _factor_with_escalation(k, 0.0) as (chol, _):
-        return dgemm(1.0, np.tril(chol), z).T
+    _check_finite(k)
+    chol, _ = _factor_with_escalation(n, lambda: _pack_lower(k), 0.0)
+    _unpack_lower(chol, k)  # k is not read again: L goes over its lower triangle
+    return dtrmm(1.0, k, z, lower=True).T
 
 
-@contextmanager
 def _solve_mean(k: KernelMatrix, targets: np.ndarray, hp: NetworkHyperparams | None,
-                noise: float | None):
-    """Yield the predictive mean at the test points of ``k``, the lower
+                noise: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The predictive mean at the test points of ``k``, the lower
     Cholesky factor of K_DD + eps2 I and the noise used.
 
-    The arguments are checked as :func:`posterior` documents. The factor
-    lives in ``k.kdd`` while the context is open and is undone on exit.
+    The arguments are checked as :func:`posterior` documents. The factor,
+    in RFP layout, is the kernel's own packed K_DD (or a packed copy of a
+    dense-built K_DD); the kernel re-reads that block when it is next used.
     """
     if noise is None:
         if hp is None:
@@ -157,13 +156,13 @@ def _solve_mean(k: KernelMatrix, targets: np.ndarray, hp: NetworkHyperparams | N
         raise ValueError(
             f"targets have {t.shape[0]} rows but kernel has {k.n_train} training points"
         )
-    kdx = k.entries[:, k.n_train:]
+    kdx = k._cross
     _check_finite(t)
     _check_finite(kdx)
-    with _factor_with_escalation(k.kdd, noise) as (chol, used):
-        mean = dgemm(1.0, kdx, cho_solve((chol, True), t, check_finite=False),
-                     trans_a=True)
-        yield mean, chol, used
+    _check_finite(k._stored_kdd())
+    chol, used = _factor_with_escalation(k.n_train, k._factor_block, noise)
+    weights, _ = dpftrs(k.n_train, chol, t, transr="N", uplo="L")
+    return dgemm(1.0, kdx, weights, trans_a=True), chol, used
 
 
 def posterior(k: KernelMatrix, targets: np.ndarray,
@@ -172,20 +171,20 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
     """Predictive mean and variance at the test points of ``k``.
 
     ``noise`` overrides ``hp.noise``; one of the two must be given, and it
-    must be finite and >= 0. The factorization is done once, in ``k.kdd``
-    itself, and applied to all target columns; ``k`` is unchanged on return.
+    must be finite and >= 0. The factorization is done once, over the
+    kernel's own packed K_DD, and applied to all target columns; ``k``
+    reads unchanged on return.
     An inf or NaN in the kernel or the targets raises ValueError. The mean
     is the same step a heatmap sweep scores by; the variance solve is added
     on top of it.
     """
-    kdx = k.entries[:, k.n_train:]
+    kdx = k._cross
     explained = np.empty(k.n_test)
-    with _solve_mean(k, targets, hp, noise) as (mean, chol, used):
-        for p in range(0, k.n_test, _PANEL):
-            w = solve_triangular(chol, kdx[:, p:p + _PANEL], lower=True,
-                                 check_finite=False)
-            explained[p:p + _PANEL] = np.einsum("ij,ij->j", w, w)
-            del w  # before the next panel's solve allocates its own
+    mean, chol, used = _solve_mean(k, targets, hp, noise)
+    for p in range(0, k.n_test, _PANEL):
+        w = solve_triangular(chol, kdx[:, p:p + _PANEL])
+        explained[p:p + _PANEL] = np.einsum("ij,ij->j", w, w)
+        del w  # before the next panel's solve allocates its own
     variance = k.test_diag - explained
     neg = variance < 0.0
     clamped = int(neg.sum())

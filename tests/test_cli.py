@@ -451,6 +451,38 @@ def test_config_of_wrong_dataset_types_exits_as_usage_error(tmp_path, capsys, mo
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("payload,message", [
+    ({"model": {"sigma_w2": "1"}}, "sigma_w2 must be a number, not '1'"),
+    ({"model": {"depth": "3"}}, "depth must be an integer, not '3'"),
+    ({"grid": {"s_max": "100"}}, "s_max must be a number, not '100'"),
+    ({"grid": {"n_g": "501"}}, "n_g must be an integer, not '501'"),
+    ({"dataset": {"format": "synthetic", "d_out": 0}}, "dataset.d_out must be at least 1, not 0"),
+], ids=["sigma_w2_string", "depth_string", "s_max_string", "n_g_string", "d_out_zero"])
+def test_config_of_wrong_model_and_grid_values_exits_as_usage_error(
+        tmp_path, capsys, monkeypatch, command, payload, message):
+    # the strings used to end in a TypeError traceback (sigma_w2, s_max) or in
+    # "depth must be an integer >= 1, got 3"; d_out 0 in an IndexError
+    # traceback while the blobs were built
+    import nngp.cli
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("the data was read for a refused config")
+
+    monkeypatch.setattr(nngp.cli, "build_dataset", no_data)
+    monkeypatch.setattr(nngp.cli, "run_experiment", no_data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"format": "synthetic"}, **payload}))
+    extra = ("--out", str(tmp_path / "sweep.csv")) if command == "sweep" else ()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", str(cfg_path), *extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nngp")
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cells", ["0", "-1"])
 def test_phase_refuses_cells_below_one(tmp_path, capsys, monkeypatch, cells):
     # --cells 0 used to write a header-only CSV and exit 0

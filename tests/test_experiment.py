@@ -243,3 +243,27 @@ def test_config_rejects_unknown_synthetic_keys():
                                          "known keys: n, d_in"):
         RunConfig(dataset_format="synthetic",
                   synthetic={"n": 200, "n_tests": 5, "seperation": 3.0})
+
+
+def test_prediction_csv_is_the_csv_writer_bytes(tmp_path):
+    # the joined rows against the csv.writer rows they replaced, on zeros of
+    # both signs, negatives, tiny normals, subnormals and long reprs
+    import csv
+
+    from nngp import PosteriorPrediction
+    from nngp.experiment import _write_predictions
+
+    mean = np.array([[0.0, -0.0, -1.5, 1e-300],
+                     [5e-324, -2.2250738585072014e-309, 0.1 + 0.2, -1e300],
+                     [1.0 / 3.0, -7.0, 2.0 ** -1074, 123456789.0]])
+    variance = np.array([0.0, 1e-300, 4.9e-324])
+    pred = PosteriorPrediction(mean=mean, variance=variance, noise_used=0.0)
+    ids = np.array([7, 0, 12345])
+    _write_predictions(tmp_path / "new.csv", pred, ids)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["point_id"] + [f"mean_{j}" for j in range(4)] + ["variance"])
+        for i, pid in enumerate(ids):
+            w.writerow([int(pid)] + [repr(float(v)) for v in mean[i]]
+                       + [repr(float(variance[i]))])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrttf
 
 from nngp import (
     Activation,
@@ -18,8 +19,8 @@ from nngp import (
     sample_prior,
 )
 from nngp.activations import RELU, TANH
-from nngp.kernel import (_TRANSFER_COSINES, _common_squared_norm, _compose, _layer_map,
-                         _mirror_lower, _Plan)
+from nngp.kernel import (_PANEL_ROWS, _TRANSFER_COSINES, _common_squared_norm, _compose,
+                         _layer_map, _mirror_lower, _Plan)
 
 from .conftest import constant_norm_points
 from .oracles import (
@@ -377,6 +378,44 @@ def test_kept_plan_reads_off_build_kernel_matrix_bitwise(case, request, blob_dat
     assert np.array_equal(first.entries, k.entries)
     assert np.array_equal(again.entries, k.entries)
     assert np.array_equal(first.test_diag, k.test_diag)
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["fresh_plan", "kept_plan"])
+@pytest.mark.parametrize("n_train", [1, 2, 3, 8, 301, 600])
+def test_packed_block_is_rfp_of_np_interp(n_train, keep, blob_dataset, relu_table):
+    # the train block is stored as LAPACK's RFP lower triangle of the
+    # np.interp kernel, both parities, inside and past a Gram panel; a block
+    # a factor consumed is read off again with the same bits
+    assert _PANEL_ROWS < 301
+    hp = hp_relu(depth=20, sw2=1.45, sb2=0.28)
+    x_train, x_test = blob_dataset.train_inputs[:n_train], blob_dataset.valid_inputs[:50]
+    k = next(_Plan(x_train, x_test, keep=keep).read_off(hp, relu_table, [hp.depth]))
+    ref = interp_kernel(x_train, x_test, hp, relu_table)
+    packed, info = dtrttf(np.asfortranarray(ref[:, :n_train]), transr="N", uplo="L")
+    assert info == 0
+    assert np.array_equal(k._packed, packed)
+    assert np.array_equal(k.kxd, ref[:, n_train:].T)
+    k._factor_block().fill(np.nan)
+    assert np.array_equal(k.entries, ref)
+    assert np.array_equal(k._packed, packed)
+
+
+def test_build_peaks_at_packed_cross_and_one_gram_panel(tanh_table):
+    # no n_train^2 array: the packed triangle, the cross block, one Gram
+    # panel, and under 2 MiB of block buffers and tables beside them
+    n_train, n_test = 1500, 1200
+    x_train = constant_norm_points(n_train, 20, seed=8)
+    x_test = constant_norm_points(n_test, 20, seed=9)
+    tracemalloc.start()
+    try:
+        build_kernel_matrix(x_train, hp_tanh(depth=3, sw2=1.5, sb2=0.1), tanh_table, x_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    packed = 8 * n_train * (n_train + 1) // 2
+    cross = 8 * n_train * n_test
+    panel = 8 * n_train * _PANEL_ROWS
+    assert peak <= packed + cross + panel + 2 * 2**20
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

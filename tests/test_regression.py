@@ -432,3 +432,45 @@ def test_calibration_on_well_specified_gp(tanh_table):
     realized = np.array([b[1] for b in bins])
     r = np.corrcoef(predicted, realized)[0, 1]
     assert r > 0.9
+
+
+_PAST_16000 = """
+import json, resource, time
+import numpy as np
+from nngp import NetworkHyperparams, build_kernel_matrix, load_or_build, posterior
+from tests.conftest import constant_norm_points
+n_train, n_test = 16000, 1000
+hp = NetworkHyperparams(depth=20, sigma_w2=1.45, sigma_b2=0.28, phi="relu")
+k = build_kernel_matrix(constant_norm_points(n_train, 50, seed=1), hp, load_or_build("relu"),
+                        constant_norm_points(n_test, 50, seed=2))
+t = np.random.default_rng(3).standard_normal((n_train, 10))
+start = time.perf_counter()
+pred = posterior(k, t, hp)
+print(json.dumps({"posterior_s": time.perf_counter() - start,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "noise_used": pred.noise_used, "clamped": pred.clamped,
+                  "finite": bool(np.isfinite(pred.mean).all())}))
+"""
+
+
+@pytest.mark.slow
+def test_posterior_past_16000_points_on_two_blas_threads():
+    # a dense Cholesky of this size died with SIGSEGV inside OpenBLAS potrf
+    # on two threads; the packed factor runs. A child process keeps a crash
+    # from taking the test run with it, and fixes the thread count.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    run = subprocess.run([sys.executable, "-c", _PAST_16000], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=1800)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["finite"]
+    assert result["noise_used"] == 1e-10
+    print(result)
