@@ -23,14 +23,17 @@ every entry off as np.interp would, bit for bit, with an O(1) bracket
 (equal-width buckets over the cosine axis). A kept plan locates the entries
 once for a whole sweep, or for all the layers of :func:`iter_kernel_layers`.
 
-Storage: the symmetric train block is held once, as its lower triangle in
-LAPACK's rectangular full packed (RFP) layout, n_train (n_train + 1) / 2
-doubles, beside the F-order cross block (:class:`KernelMatrix`). A single
-build forms the Gram a panel of rows at a time and writes each panel's
-triangle straight into the packed array, so no n_train^2 array exists; the
-posterior factors the packed block in place (:mod:`nngp.regression`), and
-the kernel re-reads it off its plan when it is next used. ``entries`` and
-``kdd`` materialize both triangles on request.
+Storage (:class:`KernelMatrix`): a kernel read off its inputs stores the
+symmetric train block once, as its lower triangle in LAPACK's rectangular
+full packed (RFP) layout, n_train (n_train + 1) / 2 doubles, and its plan.
+The build forms the Gram a panel of rows at a time and writes each panel's
+triangle straight into the packed array, so no n_train^2 array exists. The
+cross block is not stored: any range of test columns is read off the plan
+on request, and the posterior (:mod:`nngp.regression`) streams it a panel
+of columns at a time, so no n_train x n_test array exists either. The
+posterior factors the packed block in place, and the kernel re-reads it
+off its plan when it is next used. ``entries``, ``kdd`` and ``kxd`` are
+built on request.
 
 Where the activation has F in closed form (ReLU: the arccosine kernel) the
 step needs no table: it checks the lookup pipeline, and steps inputs of
@@ -95,56 +98,58 @@ class NetworkHyperparams:
 class KernelMatrix:
     """Kernel blocks over train and test points at one layer.
 
-    Storage. The symmetric train-train block K_DD is held once: a kernel read
-    off its inputs (:func:`build_kernel_matrix`, :func:`iter_kernel_layers`,
-    a sweep's plan) stores only its lower triangle, n_train (n_train + 1) / 2
-    doubles in LAPACK's rectangular full packed (RFP) layout, TRANSR = 'N',
-    UPLO = 'L' (see :func:`_rfp_views`). The cross block K_D,test is an
-    F-order (n_train, n_test) array, so each test column is contiguous.
-    Test-test off-diagonals are never computed: ``test_diag`` holds the test
-    points' own variances, all the posterior needs.
+    What is stored. The symmetric train-train block K_DD is held once: a
+    kernel read off its inputs (:func:`build_kernel_matrix`,
+    :func:`iter_kernel_layers`, a sweep's plan) stores only its lower
+    triangle, n_train (n_train + 1) / 2 doubles in LAPACK's rectangular full
+    packed (RFP) layout, TRANSR = 'N', UPLO = 'L' (see :func:`_rfp_views`),
+    and the plan it was read off. Test-test off-diagonals are never
+    computed: ``test_diag`` holds the test points' own variances, all the
+    posterior needs.
 
-    What is materialized. ``entries`` (the [K_DD | K_D,test] rows, F order)
-    and ``kdd`` are built anew, both triangles, at each access; ``kxd`` is a
-    view of the cross block. With no test points ``entries`` is the full
-    symmetric Gram matrix.
+    What is streamed. Such a kernel stores no cross block K_D,test: any
+    range of its test columns is read off the plan on request
+    (:meth:`_read_cross`), with the bits a whole read-off would give, and
+    :func:`nngp.regression.posterior` reads it one panel of columns at a
+    time into one reused buffer. So no n_train x n_test array exists.
 
-    What a posterior consumes and regenerates. :func:`nngp.regression.posterior`
-    factors the packed block where it sits, so the factor overwrites it. The
-    next access, or the next factorization (a noise retry or a later
-    posterior), first re-reads the block off the kernel's plan, bit for bit,
-    so the kernel reads as before.
+    What is built on request. ``entries`` (the [K_DD | K_D,test] rows, F
+    order), ``kdd`` (both triangles) and ``kxd`` are built anew at each
+    access. With no test points ``entries`` is the full symmetric Gram
+    matrix.
+
+    What a posterior consumes and regenerates. The posterior factors the
+    packed block where it sits, so the factor overwrites it. The next
+    access, or the next factorization (a noise retry or a later posterior),
+    first re-reads the block off the plan, bit for bit, so the kernel reads
+    as before.
 
     The constructor takes the dense rows, ``KernelMatrix(entries, n_train,
     test_diag, layer)``, and keeps them as given (copied into F order if
     they are not); a posterior factors a packed copy of their K_DD's lower
-    triangle and leaves them untouched.
+    triangle, copies their cross columns a panel at a time, and leaves them
+    untouched.
     """
 
     def __init__(self, entries: np.ndarray, n_train: int, test_diag: np.ndarray,
                  layer: int):
         self._dense = np.asfortranarray(entries)
-        self._cross = self._dense[:, n_train:]
-        self._packed = self._refill = None
+        self._plan = self._transfer = self._packed = None
         self._consumed = False
-        self.n_train, self.test_diag, self.layer = n_train, test_diag, layer
+        self.n_train, self.n_test = n_train, self._dense.shape[1] - n_train
+        self.test_diag, self.layer = test_diag, layer
 
     @classmethod
-    def _from_buffer(cls, buffer: np.ndarray, n_train: int, test_diag: np.ndarray,
-                     layer: int, refill) -> "KernelMatrix":
-        """A kernel over buffer: the packed K_DD, then the cross block's
-        columns. refill(packed) writes K_DD into packed again."""
+    def _read_off(cls, plan: "_Plan", transfer: tuple, packed: np.ndarray,
+                  test_diag: np.ndarray, layer: int) -> "KernelMatrix":
+        """The kernel of transfer row transfer (see :meth:`_Plan.transfer`)
+        over plan's inputs, with its K_DD already in packed."""
         k = cls.__new__(cls)
-        k._dense = None
-        k._packed = buffer[:n_train * (n_train + 1) // 2]
-        k._cross = buffer[k._packed.size:].reshape((n_train, test_diag.size), order="F")
-        k._refill, k._consumed = refill, False
-        k.n_train, k.test_diag, k.layer = n_train, test_diag, layer
+        k._dense, k._plan, k._transfer, k._packed = None, plan, transfer, packed
+        k._consumed = False
+        k.n_train, k.n_test = plan.n_train, test_diag.size
+        k.test_diag, k.layer = test_diag, layer
         return k
-
-    @property
-    def n_test(self) -> int:
-        return self._cross.shape[1]
 
     @property
     def entries(self) -> np.ndarray:
@@ -153,7 +158,7 @@ class KernelMatrix:
             return self._dense
         out = np.empty((self.n_train, self.n_train + self.n_test), order="F")
         self._unpack(out[:, :self.n_train])
-        out[:, self.n_train:] = self._cross
+        self._read_cross(0, self.n_test, out[:, self.n_train:])
         return out
 
     @property
@@ -168,12 +173,25 @@ class KernelMatrix:
     @property
     def kxd(self) -> np.ndarray:
         """Test-train block, (n_test, n_train)."""
-        return self._cross.T
+        if self._dense is not None:
+            return self._dense[:, self.n_train:].T
+        out = np.empty((self.n_train, self.n_test), order="F")
+        self._read_cross(0, self.n_test, out)
+        return out.T
+
+    def _read_cross(self, c0: int, c1: int, out: np.ndarray) -> None:
+        """Write K_D,test's columns c0:c1 into the F-order (n_train, c1 - c0)
+        out: read off the plan (c0 a multiple of 256, see
+        :meth:`_Plan.read_cross`), or copied from the dense rows."""
+        if self._dense is None:
+            self._plan.read_cross(self._transfer, c0, c1, out)
+        else:
+            np.copyto(out, self._dense[:, self.n_train + c0:self.n_train + c1])
 
     def _fresh(self) -> np.ndarray:
         """The packed K_DD, re-read off the plan first if a factor consumed it."""
         if self._consumed:
-            self._refill(self._packed)
+            self._plan.fill(self._transfer, self._packed)
             self._consumed = False
         return self._packed
 
@@ -182,11 +200,11 @@ class KernelMatrix:
         _unpack_lower(self._fresh(), out)
         _mirror_lower(out)
 
-    def _stored_kdd(self) -> np.ndarray:
-        """Every stored K_DD value as a 2D array: the dense block, or the RFP
-        array as its F-order rectangle."""
+    def _stored(self) -> np.ndarray:
+        """Every stored value as a 2D array: the dense rows, or the packed
+        K_DD's RFP array as its F-order rectangle."""
         if self._dense is not None:
-            return self._dense[:, :self.n_train]
+            return self._dense
         return _rfp_rectangle(self._fresh(), self.n_train)
 
     def _factor_block(self) -> np.ndarray:
@@ -275,6 +293,17 @@ _BUCKETS = 1 << 16
 _PANEL_ROWS = 256
 # Gram entries per row block: each work buffer of a block stays at 256 KiB
 _BLOCK_ENTRIES = 1 << 15
+# test rows per row block: _CROSS_BLOCK_ROWS, or as many as fill
+# _CROSS_BLOCK_ENTRIES where n_train is small. A block's four work buffers
+# (25 bytes an entry) then take 200 bytes per training point or 200 KiB,
+# whichever is more; with the posterior's finiteness scan (64 bytes per
+# training point) that fits in the n_train x 512 bytes of one byte mask over
+# a panel of test columns from 460 training points up. Below that, 8-row
+# blocks would be so small that their per-block calls dominate: at 100
+# training points and 20000 test points, they took a build and posterior
+# 2.4 times as long
+_CROSS_BLOCK_ROWS = 8
+_CROSS_BLOCK_ENTRIES = 1 << 13
 # on and below the diagonal of the tallest train block's diagonal square
 _LOWER = np.tri(math.isqrt(_BLOCK_ENTRIES), dtype=bool)
 # a triangle is mirrored in square tiles of this side, 128 KiB each: at
@@ -284,12 +313,12 @@ _TILE = 128
 _STRICT_LOWER = np.tri(_TILE, k=-1, dtype=bool)
 
 
-def _panels(n_all: int, n_train: int) -> list[tuple[int, int]]:
-    """Row bounds of the Gram's panels, _PANEL_ROWS rows each: the train
-    rows, then the test rows, so that no panel holds both."""
-    return [(r0, min(end, r0 + _PANEL_ROWS))
-            for start, end in ((0, n_train), (n_train, n_all))
-            for r0 in range(start, end, _PANEL_ROWS)]
+def _panels(r0: int, r1: int) -> list[tuple[int, int]]:
+    """Row bounds of the Gram's panels over rows r0:r1, _PANEL_ROWS rows
+    each. A whole read-off starts its panels at row 0 and at n_train; a
+    range that starts on one of its panel bounds forms each row in the same
+    product, so with the same bits."""
+    return [(p0, min(r1, p0 + _PANEL_ROWS)) for p0 in range(r0, r1, _PANEL_ROWS)]
 
 
 def _gram_rows(x_rows: np.ndarray, x_train: np.ndarray, out: np.ndarray) -> None:
@@ -307,10 +336,11 @@ def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
 
     It is formed panel by panel (:func:`_panels`), each panel one dgemm, just
     as the read-off forms it: the same entries from one product over all
-    rows need not be the same bits."""
+    rows need not be the same bits. The read-off itself never forms it
+    whole."""
     n_all, n_train = x_all.shape[0], x_train.shape[0]
     out = np.empty((n_train, n_all), order="F")
-    for r0, r1 in _panels(n_all, n_train):
+    for r0, r1 in _panels(0, n_train) + _panels(n_train, n_all):
         _gram_rows(x_all[r0:r1], x_train, out[:, r0:r1])
     return out.T
 
@@ -413,28 +443,30 @@ class _Plan:
     rho is fixed by the inputs, so every network read off them reads the same
     Gram at the same scaled nodes, and each entry's interval e and offset
     dv = v - start[e] are the same for all of them. The plan holds the
-    bucket tables. An entry's bucket is a monotone function of its value,
-    computed the same way for entries and nodes, so every node in a lower
-    bucket lies below the entry and every node in a higher one above it.
-    Starting from the count of nodes below the entry's bucket (``first``),
-    two forward comparisons find np.interp's interval wherever a bucket holds
-    at most two nodes; the crowded buckets from the first one holding three
-    on (``cut``) are the tail, left to np.interp. Interval j holds
-    np.interp's formula slope[j] (v - start[j]) + level[j], with the left
-    clamp as a zero-slope interval before node 0.
+    bucket tables and its own C-order copy of the inputs. An entry's bucket
+    is a monotone function of its value, computed the same way for entries
+    and nodes, so every node in a lower bucket lies below the entry and
+    every node in a higher one above it. Starting from the count of nodes
+    below the entry's bucket (``first``), two forward comparisons find
+    np.interp's interval wherever a bucket holds at most two nodes; the
+    crowded buckets from the first one holding three on (``cut``) are the
+    tail, left to np.interp. Interval j holds np.interp's formula
+    slope[j] (v - start[j]) + level[j], with the left clamp as a zero-slope
+    interval before node 0.
 
-    A kernel is written into one buffer: the train block's lower triangle in
-    RFP layout (:func:`_rfp_views`), then the cross block's columns. The
-    Gram is formed in panels (:func:`_panels`); each panel's rows are read
-    off in row blocks, train rows up to the diagonal and test rows across,
-    and only the entries on or below the diagonal are stored.
+    A kernel is read off in two parts: its train block's lower triangle into
+    an RFP array (:meth:`fill`, see :func:`_rfp_views`), and any range of
+    its cross block's test columns into an F-order array (:meth:`read_cross`),
+    on request. Both read the Gram in panels (:func:`_panels`) and each
+    panel in row blocks, train rows up to the diagonal and test rows across,
+    storing only the entries on or below the diagonal.
 
-    A plan that is not kept forms each panel when it reads a kernel off: a
-    test panel in the kernel's own cross columns, a train panel in one
-    n_train x _PANEL_ROWS buffer whose triangle is then copied into the
-    packed block. So no n_train^2 array exists, and the packed block can be
-    read off again (:meth:`fill`) after a factor has consumed it. A kept plan
-    (``keep``) forms the Gram once, by :func:`_gram`, and keeps every
+    A plan that is not kept forms each panel as it reads it: a train panel
+    in one n_train x _PANEL_ROWS buffer whose triangle is then copied into
+    the packed block, a test panel in the output's own columns. So no
+    n_train^2 or n_train x n_test array exists, and the packed block can be
+    read off again after a factor has consumed it. A kept plan (``keep``)
+    reads every panel once the same way, a panel at a time, and keeps each
     stored entry's interval and offset in the kernel's own layout, with the
     tail entries' values: about two kernel-sized arrays, from which any
     number of kernels are gathered. This is one plan per sweep, and one for
@@ -445,11 +477,14 @@ class _Plan:
                  keep: bool):
         x_train = np.asarray(train_inputs, dtype=np.float64)
         self.n_train = n_train = x_train.shape[0]
+        # an unkept plan's kernels read their blocks off these rows on request
         if test_inputs is None:
-            x_all = x_train
+            x_all = np.array(x_train, order="C")
         else:
             x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
+        self.x_train, self.x_test = x_all[:n_train], x_all[n_train:]
         self.n_all, d_in = x_all.shape
+        self.n_test = self.n_all - n_train
         self.rho = _common_squared_norm(x_all) / d_in
         scale = self.rho * d_in  # a cosine in units of the Gram's x . x'
         self.nodes = nodes = scale * _TRANSFER_COSINES
@@ -469,20 +504,12 @@ class _Plan:
         # reads buckets under 0 as 0 and buckets past the cut as the cut
         self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
         self.packed_size = n_train * (n_train + 1) // 2
-        self.size = self.packed_size + n_train * (self.n_all - n_train)
-        self.panels = _panels(self.n_all, n_train)
-        self.block_entries = max([(r1 - r0) * c1 for p in self.panels
-                                  for r0, r1, c1 in self._blocks(*p)], default=0)
         self.diagonal = _rfp_diagonal(n_train)
+        self.kept = None
         if keep:
-            self.kept = self._keep(_gram(x_all, x_train))
-        else:
-            # the plan's own copy of the train rows, to re-read a consumed train
-            # block from; the test rows are read once, by the first read-off
-            self.kept = None
-            self.x_train = np.array(x_train, order="C")
-            self.x_test = x_all[n_train:] if test_inputs is None else np.asarray(
-                test_inputs, dtype=np.float64)
+            self.kept = self._keep()
+            # a kept plan gathers every kernel from what it keeps
+            self.x_train = self.x_test = None
 
     def bucket(self, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The buckets of v, written into the intp array out through the float work."""
@@ -496,7 +523,8 @@ class _Plan:
     def _blocks(self, p0: int, p1: int):
         """The (r0, r1, c1) row blocks of panel rows p0:p1: train rows r0:r1
         up to the diagonal, with (r1 - r0) r1 <= _BLOCK_ENTRIES entries, or
-        test rows across all n_train columns."""
+        test rows across all n_train columns, _CROSS_BLOCK_ROWS of them or
+        up to _CROSS_BLOCK_ENTRIES entries."""
         n_train = self.n_train
         if p0 < n_train:
             r0 = p0
@@ -506,43 +534,40 @@ class _Plan:
                 yield r0, r1, r1
                 r0 = r1
         else:
-            step = max(1, _BLOCK_ENTRIES // max(1, n_train))
+            step = max(_CROSS_BLOCK_ROWS, _CROSS_BLOCK_ENTRIES // max(1, n_train))
             for r0 in range(p0, p1, step):
                 yield r0, min(p1, r0 + step), n_train
 
-    def _read_panels(self, cross: np.ndarray | None = None, gram: np.ndarray | None = None):
-        """Yield each block's (r0, v, e, tail, tail values), with v the Gram
-        rows r0:r1 up to c1, its offsets written over it.
+    def _read_panels(self, r0: int, r1: int, cross: np.ndarray | None = None):
+        """Yield each block's (r0, v, e, tail, tail values, work) over the
+        plan's rows r0:r1, all train rows or all test rows, with v the Gram
+        rows up to c1, its offsets written over it.
 
         e counts the nodes at or below each entry, so interval e - 1 holds it
         and index e of start, slope and level is that interval; e lives in a
-        work buffer that the next block reuses. Without ``gram`` each panel
-        is formed here: train panels in one buffer, test panels in the
-        columns of cross (none when cross is None).
+        work buffer that the next block reuses. Train panels are formed in
+        one buffer, test panels in the columns of the F-order cross, whose
+        column 0 is row r0.
         """
         n_train = self.n_train
-        size = self.block_entries
+        train = r0 < n_train
+        panels = _panels(r0, r1)
+        size = max([(b1 - b0) * c1 for p in panels for b0, b1, c1 in self._blocks(*p)],
+                   default=0)
         work, buckets, intervals = np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp)
         mask = np.empty(size, bool)
-        buffer = None
-        for p0, p1 in self.panels:
-            if gram is not None:
-                panel = gram[p0:p1]
+        if train and panels:
+            buffer = np.empty((n_train, max(p1 - p0 for p0, p1 in panels)), order="F")
+        for p0, p1 in panels:
+            if train:
+                out = buffer[:, :p1 - p0]
+                _gram_rows(self.x_train[p0:p1], self.x_train, out)
             else:
-                if p0 < n_train:
-                    if buffer is None:
-                        buffer = np.empty((n_train, min(n_train, _PANEL_ROWS)), order="F")
-                    out = buffer[:, :p1 - p0]
-                elif cross is None:
-                    return
-                else:
-                    out = cross[:, p0 - n_train:p1 - n_train]
-                rows = (self.x_train[p0:p1] if p0 < n_train
-                        else self.x_test[p0 - n_train:p1 - n_train])
-                _gram_rows(rows, self.x_train, out)
-                panel = out.T
-            for r0, r1, c1 in self._blocks(p0, p1):
-                v = panel[r0 - p0:r1 - p0, :c1]
+                out = cross[:, p0 - r0:p1 - r0]
+                _gram_rows(self.x_test[p0 - n_train:p1 - n_train], self.x_train, out)
+            panel = out.T
+            for b0, b1, c1 in self._blocks(p0, p1):
+                v = panel[b0 - p0:b1 - p0, :c1]
                 shape, n = v.shape, v.size
                 f = work[:n].reshape(shape)
                 m = mask[:n].reshape(shape)
@@ -554,92 +579,126 @@ class _Plan:
                 tail = np.flatnonzero(np.greater_equal(b, self.cut, out=m))
                 tail_values = v.flat[tail]
                 np.subtract(v, np.take(self.start, e, out=f, mode="clip"), out=v)
-                yield r0, v, e, tail, tail_values, work
+                yield b0, v, e, tail, tail_values, work
 
-    def _keep(self, gram: np.ndarray):
+    def _keep(self):
         """(offsets, intervals, tail indices, tail values, train tails): every
         stored entry's offset and interval, in the kernel's layout, and the
         tail entries' indices and values, the first train tails of them in
-        the packed train block."""
+        the packed train block, the cross block's after them in order."""
         n_train, packed_size = self.n_train, self.packed_size
-        dv, e_all = np.empty(self.size), np.empty(self.size, np.intp)
+        size = packed_size + n_train * self.n_test
+        dv, e_all = np.empty(size), np.empty(size, np.intp)
         dv_first, dv_last = _rfp_views(dv[:packed_size], n_train)
         e_first, e_last = _rfp_views(e_all[:packed_size], n_train)
-        dv_cross, e_cross = (a[packed_size:].reshape((n_train, self.n_all - n_train), order="F")
+        dv_cross, e_cross = (a[packed_size:].reshape((n_train, self.n_test), order="F")
                              for a in (dv, e_all))
-        # train panels come first, so their tails do
         index, values, train_tails = [np.empty(0, np.intp)], [np.empty(0)], 0
-        for r0, v, e, tail, tail_values, _ in self._read_panels(gram=gram):
+        for r0, v, e, tail, tail_values, _ in self._read_panels(0, n_train):
             i, j = np.divmod(tail, v.shape[1])
             i += r0
-            if r0 < n_train:
-                _put_lower(dv_first, dv_last, v, r0)
-                _put_lower(e_first, e_last, e, r0)
-                on = j <= i
-                index.append(_rfp_index(i[on], j[on], n_train))
-                values.append(tail_values[on])
-                train_tails += index[-1].size
-            else:
-                cols = slice(r0 - n_train, r0 - n_train + v.shape[0])
-                dv_cross[:, cols] = v.T
-                e_cross[:, cols] = e.T
-                index.append(packed_size + (i - n_train) * n_train + j)
-                values.append(tail_values)
+            _put_lower(dv_first, dv_last, v, r0)
+            _put_lower(e_first, e_last, e, r0)
+            on = j <= i
+            index.append(_rfp_index(i[on], j[on], n_train))
+            values.append(tail_values[on])
+            train_tails += index[-1].size
+        # the test panels are formed in dv's own cross columns, so their
+        # offsets are written in place
+        for r0, v, e, tail, tail_values, _ in self._read_panels(n_train, self.n_all, dv_cross):
+            e_cross[:, r0 - n_train:r0 - n_train + v.shape[0]] = e.T
+            index.append(packed_size + (r0 - n_train) * n_train + tail)
+            values.append(tail_values)
         return dv, e_all, np.concatenate(index), np.concatenate(values), train_tails
 
-    def fill(self, fp: np.ndarray, out: np.ndarray) -> None:
-        """Write the kernel with transfer row fp into out: the packed train
-        block, then (if out has room for it) the cross block's columns.
-
-        Each entry is np.interp(v, nodes, fp), bit for bit, read in its
-        order (v - start[e]) slope[e] + level[e]; the train diagonal is then
-        set to fp[-1], the layer variance: a general matrix product need not
-        put exactly the same value on it.
-        """
+    def transfer(self, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(fp, slope, level): np.interp's formula on every interval of the
+        transfer row fp over the plan's nodes."""
         with np.errstate(divide="ignore", invalid="ignore"):
             # scaled tail nodes can coincide; np.interp reads the tail
             slope = np.concatenate([[0.0], np.diff(fp) / np.diff(self.nodes)])
-        level = np.concatenate([fp[:1], fp])
-        packed = out[:self.packed_size]
-        if self.kept is None:
-            first, last = _rfp_views(packed, self.n_train)
-            cross = (out[self.packed_size:].reshape((self.n_train, self.n_all - self.n_train),
-                                                    order="F")
-                     if out.size > self.packed_size else None)
-            for r0, v, e, tail, tail_values, work in self._read_panels(cross):
-                w = work[:e.size].reshape(e.shape)
-                np.multiply(v, np.take(slope, e, out=w, mode="clip"), out=v)
-                v += np.take(level, e, out=w, mode="clip")
-                v.flat[tail] = np.interp(tail_values, self.nodes, fp)
-                if r0 < self.n_train:
-                    _put_lower(first, last, v, r0)
+        return fp, slope, np.concatenate([fp[:1], fp])
+
+    def _read(self, transfer: tuple, r0: int, r1: int, out: np.ndarray) -> None:
+        """Read the plan's rows r0:r1 off by forming their Gram panels: train
+        rows' lower entries into the RFP array out, or test rows into the
+        F-order out's columns.
+
+        Each entry is np.interp(v, nodes, fp), bit for bit, read in its
+        order (v - start[e]) slope[e] + level[e].
+        """
+        fp, slope, level = transfer
+        train = r0 < self.n_train
+        if train:
+            first, last = _rfp_views(out, self.n_train)
+        for b0, v, e, tail, tail_values, work in self._read_panels(
+                r0, r1, None if train else out):
+            w = work[:e.size].reshape(e.shape)
+            np.multiply(v, np.take(slope, e, out=w, mode="clip"), out=v)
+            v += np.take(level, e, out=w, mode="clip")
+            v.flat[tail] = np.interp(tail_values, self.nodes, fp)
+            if train:
+                _put_lower(first, last, v, b0)
+
+    def _gather(self, transfer: tuple, lo: int, hi: int, out: np.ndarray) -> None:
+        """Gather entries lo:hi of a kernel's layout (the packed block, then
+        the cross block's columns) from a kept plan into the flat out, with
+        the same floats as :meth:`_read`."""
+        fp, slope, level = transfer
+        dv, e_all, index, values, train_tails = self.kept
+        w = np.empty(min(hi - lo, _BLOCK_ENTRIES))
+        for c0 in range(lo, hi, _BLOCK_ENTRIES):
+            c1 = min(hi, c0 + _BLOCK_ENTRIES)
+            block, e, wc = out[c0 - lo:c1 - lo], e_all[c0:c1], w[:c1 - c0]
+            np.multiply(dv[c0:c1], np.take(slope, e, out=wc, mode="clip"), out=block)
+            block += np.take(level, e, out=wc, mode="clip")
+        if lo < self.packed_size:
+            t0, t1 = 0, train_tails
         else:
-            dv, e_all, index, values, train_tails = self.kept
-            w = np.empty(min(out.size, _BLOCK_ENTRIES))
-            for c0 in range(0, out.size, _BLOCK_ENTRIES):
-                c1 = min(out.size, c0 + _BLOCK_ENTRIES)
-                block, e, wc = out[c0:c1], e_all[c0:c1], w[:c1 - c0]
-                np.multiply(dv[c0:c1], np.take(slope, e, out=wc, mode="clip"), out=block)
-                block += np.take(level, e, out=wc, mode="clip")
-            tails = slice(None) if out.size > self.packed_size else slice(train_tails)
-            out[index[tails]] = np.interp(values[tails], self.nodes, fp)
-        packed[self.diagonal] = fp[-1]
+            t0, t1 = train_tails + np.searchsorted(index[train_tails:], (lo, hi))
+        out[index[t0:t1] - lo] = np.interp(values[t0:t1], self.nodes, fp)
+
+    def fill(self, transfer: tuple, packed: np.ndarray) -> None:
+        """Write the train block of the kernel with transfer row transfer
+        (see :meth:`transfer`) into the RFP array packed.
+
+        The diagonal is then set to fp[-1], the layer variance: a general
+        matrix product need not put exactly the same value on it.
+        """
+        if self.kept is None:
+            self._read(transfer, 0, self.n_train, packed)
+        else:
+            self._gather(transfer, 0, self.packed_size, packed)
+        packed[self.diagonal] = transfer[0][-1]
+
+    def read_cross(self, transfer: tuple, c0: int, c1: int, out: np.ndarray) -> None:
+        """Write the cross block's test columns c0:c1 of the kernel with
+        transfer row transfer into the F-order (n_train, c1 - c0) out.
+
+        c0 is a multiple of _PANEL_ROWS, so the entries are the bits of a
+        whole read-off (see :func:`_panels`)."""
+        if self.kept is None:
+            self._read(transfer, self.n_train + c0, self.n_train + c1, out)
+        else:
+            lo = self.packed_size + c0 * self.n_train
+            self._gather(transfer, lo, lo + out.size, out.reshape(-1, order="F"))
 
     def read_off(self, hp: NetworkHyperparams, table: LookupTable, layers):
         """Yield the KernelMatrix at each of layers.
 
         The layer map is composed once, over the transfer cosines at the
         plan's rho; cosines past the end nodes clamp, to q at c = 1. Each
-        kernel is a new buffer, and keeps the plan to re-read its train block.
+        kernel's train block is a new packed buffer; the kernel keeps the
+        plan, to read its cross block off and to re-read its train block.
         """
         # _TRANSFER_COSINES ends at 1: the last column is the layer variance
         rows = _compose(hp.sigma_b2 + hp.sigma_w2 * self.rho * _TRANSFER_COSINES, -1, hp, table)
         for layer in layers:
-            out = np.empty(self.size)
-            self.fill(rows[layer], out)
-            yield KernelMatrix._from_buffer(out, self.n_train,
-                                         np.full(self.n_all - self.n_train, rows[layer, -1]),
-                                         layer, partial(self.fill, rows[layer]))
+            transfer = self.transfer(rows[layer])
+            packed = np.empty(self.packed_size)
+            self.fill(transfer, packed)
+            yield KernelMatrix._read_off(self, transfer, packed,
+                                         np.full(self.n_test, rows[layer, -1]), layer)
 
 
 def iter_kernel_layers(train_inputs: np.ndarray, hp: NetworkHyperparams,
@@ -654,9 +713,10 @@ def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
                         test_inputs: np.ndarray | None = None) -> KernelMatrix:
     """Kernel at the output layer over train (and optionally test) points.
 
-    Its plan is not kept: the Gram is formed a panel at a time as the kernel
-    is read off, and the plan stays with the kernel, to re-read its train
-    block after a posterior has factored it."""
+    Its plan is not kept: the packed train block is read off a Gram panel at
+    a time, and the plan stays with the kernel, to read the cross block off
+    when it is asked for and to re-read the train block after a posterior
+    has factored it."""
     return next(_Plan(train_inputs, test_inputs, keep=False).read_off(hp, table, [hp.depth]))
 
 

@@ -292,13 +292,15 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
     posterior mean alone, by the rule :func:`nngp.regression.evaluate` uses,
     so a cell makes no variance solve; it solves for the mean exactly as
     :func:`nngp.regression.posterior` does, and so fails as it would. Every
-    cell is read off one kernel plan over the train and validation inputs,
-    so the Gram is formed and each entry's interval found once per sweep; a
-    cell composes its layer map and gathers its kernel, a new buffer of the
-    packed train triangle and the cross block. One lookup table is shared
-    across all cells. Per-cell failures (variance escaping the table,
-    factorization breakdown) leave nan cells and record their reason; a plan
-    that fails (inputs of unequal norm) records its reason in every cell. A cell never warns "posterior
+    cell is read off one kept kernel plan over the train and validation
+    inputs, so the Gram is formed (a panel of rows at a time) and each
+    entry's interval found once per sweep. A cell composes its layer map,
+    gathers its packed train triangle into a new buffer, and gathers the
+    cross block a panel of validation columns at a time as the mean step
+    streams it. One lookup table is shared across all cells. Per-cell
+    failures (variance escaping the table, factorization breakdown) leave
+    nan cells and record their reason; a plan that fails (inputs of unequal
+    norm) records its reason in every cell. A cell never warns "posterior
     variance reached", since it forms no variance.
     """
     sw2_grid = np.asarray(sw2_grid, float)

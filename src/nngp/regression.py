@@ -8,29 +8,37 @@ distribution at each test point is Gaussian with
 
 computed from a single Cholesky factorization L L^T = K_DD + eps2 I shared
 by every target column. The mean is one step (``_solve_mean``): validate,
-check finiteness, factor, solve. :func:`posterior` adds the variance solve
-on top of it; a heatmap sweep, which scores only the mean's argmax, stops
-there and makes no variance solve.
+check finiteness, factor, solve, then one pass over the cross block.
+:func:`posterior` adds the variance solve to that pass; a heatmap sweep,
+which scores only the mean's argmax, makes no variance solve.
 
 There is one factorization path, :func:`_factor_with_escalation`, for the
 mean, the variance and prior draws. It factors K_DD's lower triangle in
 LAPACK's rectangular full packed (RFP) layout (``dpftrf``: two half-size
 ``potrf`` calls, a ``trsm`` and a ``syrk``), then solves with ``dpftrs``
-(the mean) and ``dtfsm`` (the variance, over panels of test columns). A
-kernel read off its inputs holds K_DD in that layout, so L is written over
-the kernel's own packed block, and no second n_train^2 array is made; the
-kernel re-reads the block off its plan when it is next read or factored
-(see :class:`nngp.kernel.KernelMatrix`), so it is unchanged as seen from
+(the mean's weights) and ``dtfsm`` (the variance). A kernel read off its
+inputs holds K_DD in that layout, so L is written over the kernel's own
+packed block, and no second n_train^2 array is made; the kernel re-reads
+the block off its plan when it is next read or factored (see
+:class:`nngp.kernel.KernelMatrix`), so it is unchanged as seen from
 outside. A kernel built from dense rows is factored in a packed copy. If
 the factorization fails the noise is multiplied by 10 and retried, each
 attempt on a fresh block, up to a bounded number of attempts.
+
+The cross block K_D,test is streamed: the kernel reads it one panel of
+_PANEL test columns at a time into one reused n_train x _PANEL buffer, and
+each panel is checked for infs and NaNs, gives its rows of the mean, and
+for the variance is solved in place, L^-1 K_Dx, for its column norms. So
+the posterior's memory beyond the packed K_DD is one panel and the outputs,
+whatever n_test is.
 
 Every BLAS and LAPACK call here is scipy's, never numpy's ``@`` or
 ``np.linalg``: numpy and scipy each bundle their own OpenBLAS with its own
 thread pool, and a posterior that woke both would have their spinning
 threads contend for the cores (the kernel's Gram follows the same rule, see
-:mod:`nngp.kernel`). Finiteness is checked once per input, a panel of
-columns at a time; scipy's RFP wrappers do not rescan.
+:mod:`nngp.kernel`). Finiteness is checked a few columns at a time, before
+the factor for every stored value and as each streamed panel is read;
+scipy's RFP wrappers do not rescan.
 """
 
 from __future__ import annotations
@@ -47,9 +55,14 @@ from .kernel import (DEFAULT_NOISE, KernelMatrix, NetworkHyperparams, _pack_lowe
 from .lookup import LookupTable
 
 _MAX_NOISE_RETRIES = 10
-# test columns per variance solve and per finiteness scan: the extra memory
-# of either is n_train x _PANEL
+# test columns per panel of the cross block: the posterior's one buffer
+# beyond the packed K_DD is n_train x _PANEL doubles. A multiple of the
+# kernel's 256-row Gram panels, so a panel read off the plan has the bits
+# of a whole read-off
 _PANEL = 512
+# columns per finiteness scan: its mask, beside that buffer, is an eighth of
+# a byte per panel entry
+_SCAN = _PANEL // 8
 
 
 class FactorizationError(ArithmeticError):
@@ -78,10 +91,10 @@ class PosteriorPrediction:
 def _check_finite(a: np.ndarray) -> None:
     """Raise ValueError, worded as scipy's, if the 2D array a holds an inf or NaN.
 
-    Scans _PANEL columns at a time, so the mask is never larger than one panel.
+    Scans _SCAN columns at a time, so the mask is never larger than that.
     """
-    for p in range(0, a.shape[1], _PANEL):
-        if not np.isfinite(a[:, p:p + _PANEL]).all():
+    for p in range(0, a.shape[1], _SCAN):
+        if not np.isfinite(a[:, p:p + _SCAN]).all():
             raise ValueError("array must not contain infs or NaNs")
 
 
@@ -109,9 +122,9 @@ def _factor_with_escalation(n: int, fresh, noise: float) -> tuple[np.ndarray, fl
 
 
 def solve_triangular(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b, for the lower Cholesky factor L held in RFP layout as chol and
-    an F-order b, in a new array."""
-    return dtfsm(1.0, chol, b, transr="N", side="L", uplo="L", trans="N")
+    """L^-1 b, for the lower Cholesky factor L held in RFP layout as chol,
+    written over the F-order b."""
+    return dtfsm(1.0, chol, b, transr="N", side="L", uplo="L", trans="N", overwrite_b=1)
 
 
 def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
@@ -136,13 +149,17 @@ def sample_prior(points: np.ndarray, hp: NetworkHyperparams,
 
 
 def _solve_mean(k: KernelMatrix, targets: np.ndarray, hp: NetworkHyperparams | None,
-                noise: float | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """The predictive mean at the test points of ``k``, the lower
-    Cholesky factor of K_DD + eps2 I and the noise used.
+                noise: float | None,
+                explained: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The predictive mean at the test points of ``k`` and the noise used.
 
     The arguments are checked as :func:`posterior` documents. The factor,
     in RFP layout, is the kernel's own packed K_DD (or a packed copy of a
     dense-built K_DD); the kernel re-reads that block when it is next used.
+    The cross block is read a panel of _PANEL columns at a time into one
+    buffer; each panel is checked and gives its mean rows. Given
+    ``explained``, each panel is then solved in place and its column norms
+    ||L^-1 k*||^2 are written there: the variance solve.
     """
     if noise is None:
         if hp is None:
@@ -156,13 +173,27 @@ def _solve_mean(k: KernelMatrix, targets: np.ndarray, hp: NetworkHyperparams | N
         raise ValueError(
             f"targets have {t.shape[0]} rows but kernel has {k.n_train} training points"
         )
-    kdx = k._cross
     _check_finite(t)
-    _check_finite(kdx)
-    _check_finite(k._stored_kdd())
+    # a dense kernel's cross block is stored, so it is scanned here, before
+    # the factor; a read-off one is scanned a panel at a time as it is read
+    _check_finite(k._stored())
     chol, used = _factor_with_escalation(k.n_train, k._factor_block, noise)
     weights, _ = dpftrs(k.n_train, chol, t, transr="N", uplo="L")
-    return dgemm(1.0, kdx, weights, trans_a=True), chol, used
+    mean = np.empty((k.n_test, t.shape[1]), order="F")
+    buffer = np.empty((k.n_train, min(_PANEL, k.n_test)), order="F")
+    for p0 in range(0, k.n_test, _PANEL):
+        p1 = min(k.n_test, p0 + _PANEL)
+        panel = buffer[:, :p1 - p0]
+        k._read_cross(p0, p1, panel)
+        _check_finite(panel)
+        # over the whole buffer, a short last panel's stale columns too: OpenBLAS
+        # picks its dgemm kernel by shape, and a short product would round
+        # its rows otherwise than a product over all n_test columns does
+        mean[p0:p1] = dgemm(1.0, buffer, weights, trans_a=True)[:p1 - p0]
+        if explained is not None:
+            panel = solve_triangular(chol, panel)
+            explained[p0:p1] = np.einsum("ij,ij->j", panel, panel)
+    return mean, used
 
 
 def posterior(k: KernelMatrix, targets: np.ndarray,
@@ -175,16 +206,11 @@ def posterior(k: KernelMatrix, targets: np.ndarray,
     kernel's own packed K_DD, and applied to all target columns; ``k``
     reads unchanged on return.
     An inf or NaN in the kernel or the targets raises ValueError. The mean
-    is the same step a heatmap sweep scores by; the variance solve is added
-    on top of it.
+    is the same step a heatmap sweep scores by; the variance solve runs in
+    the same pass over the cross block's panels.
     """
-    kdx = k._cross
     explained = np.empty(k.n_test)
-    mean, chol, used = _solve_mean(k, targets, hp, noise)
-    for p in range(0, k.n_test, _PANEL):
-        w = solve_triangular(chol, kdx[:, p:p + _PANEL])
-        explained[p:p + _PANEL] = np.einsum("ij,ij->j", w, w)
-        del w  # before the next panel's solve allocates its own
+    mean, used = _solve_mean(k, targets, hp, noise, explained)
     variance = k.test_diag - explained
     neg = variance < 0.0
     clamped = int(neg.sum())

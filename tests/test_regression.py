@@ -15,6 +15,7 @@ from nngp import (
     regression,
     sample_prior,
 )
+from nngp.kernel import _Plan
 from nngp.regression import _PANEL
 
 from .conftest import constant_norm_points
@@ -245,9 +246,10 @@ def test_posterior_factors_in_the_kernel_buffer(tanh_table):
 
 
 @pytest.mark.parametrize("where", ["kdd", "cross", "targets"])
-def test_non_finite_input_raises_and_leaves_kernel_unchanged(where, tanh_table):
+def test_non_finite_input_raises_and_leaves_kernel_unchanged(where, monkeypatch, tanh_table):
     # the one finiteness scan per input stands in for scipy's rescans; a NaN
-    # in the kernel sits past the scan's first panel of columns
+    # in the kernel sits past the scan's first panel of columns. Every input
+    # here is stored, so it is refused before the factor
     hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
     n_train, n_test = _PANEL + 20, _PANEL + 10
     built = build_kernel_matrix(constant_norm_points(n_train, 8, seed=12), hp, tanh_table,
@@ -262,6 +264,11 @@ def test_non_finite_input_raises_and_leaves_kernel_unchanged(where, tanh_table):
         t[n_train - 1, 2] = np.inf
     k = KernelMatrix(e, n_train, built.test_diag, built.layer)
     before = k.entries.tobytes()
+
+    def refused(*args):
+        raise AssertionError("factored before the scan")
+
+    monkeypatch.setattr(regression, "_factor_with_escalation", refused)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         posterior(k, t, hp)
     assert k.entries.tobytes() == before
@@ -339,6 +346,100 @@ def test_kernel_blocks_are_column_contiguous(tanh_table):
     a, b = posterior(built, t, hp), posterior(stacked, t, hp)
     assert a.mean.tobytes() == b.mean.tobytes()
     assert a.variance.tobytes() == b.variance.tobytes()
+
+
+def read_off(n_train, n_test, keep, table):
+    """A tanh kernel read off a plan, fresh or kept, and its network."""
+    hp = NetworkHyperparams(depth=2, sigma_w2=1.3, sigma_b2=0.25, phi="tanh")
+    plan = _Plan(constant_norm_points(n_train, 8, seed=12),
+                 constant_norm_points(n_test, 8, seed=13), keep=keep)
+    return next(plan.read_off(hp, table, [hp.depth])), hp
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("n_test", [0, 1, _PANEL, _PANEL + 7])
+def test_streamed_posterior_equals_the_dense_kernel_bitwise(n_test, keep, tanh_table):
+    # the read-off kernel streams its cross block off the plan a panel at a
+    # time; the dense kernel copies the same columns into the same buffer
+    k, hp = read_off(40, n_test, keep, tanh_table)
+    dense = KernelMatrix(k.entries, k.n_train, k.test_diag, k.layer)
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    a, b = posterior(k, t, hp), posterior(dense, t, hp)
+    assert a.mean.shape == (n_test, 3)
+    assert a.mean.tobytes() == b.mean.tobytes()
+    assert a.variance.tobytes() == b.variance.tobytes()
+
+
+def test_a_test_points_mean_does_not_depend_on_the_points_after_it(tanh_table):
+    # a short last panel's product runs over the whole panel buffer: BLAS
+    # picks its kernel by shape, and a 7-row product rounds its rows otherwise
+    k, hp = read_off(40, 2 * _PANEL, False, tanh_table)
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    cut = _PANEL + 7
+    short = KernelMatrix(k.entries[:, :k.n_train + cut], k.n_train, k.test_diag[:cut],
+                         k.layer)
+    assert posterior(short, t, hp).mean.tobytes() == posterior(k, t, hp).mean[:cut].tobytes()
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_kernel_reads_the_same_bytes_around_a_posterior(keep, monkeypatch, tanh_table):
+    # nothing a posterior does to the packed block or the panel buffer shows
+    # in entries or kxd: not after it, and not after its second panel's
+    # solve raises with the factor in the packed block
+    k, hp = read_off(40, _PANEL + 10, keep, tanh_table)
+    t = np.random.default_rng(14).standard_normal((40, 3))
+    entries, kxd = k.entries.tobytes(), k.kxd.tobytes()
+    assert np.array_equal(k.kxd, k.entries[:, k.n_train:].T)
+    posterior(k, t, hp)
+    assert (k.entries.tobytes(), k.kxd.tobytes()) == (entries, kxd)
+    solve, calls = regression.solve_triangular, []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("solve failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "solve_triangular", failing_solve)
+    with pytest.raises(MemoryError, match="solve failed"):
+        posterior(k, t, hp)
+    assert (k.entries.tobytes(), k.kxd.tobytes()) == (entries, kxd)
+
+
+def build_and_posterior_memory(n_train, n_test, d_in, d_out, table):
+    """(bytes a built kernel holds, the posterior's peak beyond them)."""
+    hp = NetworkHyperparams(depth=3, sigma_w2=1.5, sigma_b2=0.1, phi="tanh")
+    x_train = constant_norm_points(n_train, d_in, seed=8)
+    x_test = constant_norm_points(n_test, d_in, seed=9)
+    t = np.random.default_rng(10).standard_normal((n_train, d_out))
+    tracemalloc.start()
+    try:
+        k = build_kernel_matrix(x_train, hp, table, x_test)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        posterior(k, t, hp)
+        return held, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_n_test_but_for_inputs_and_outputs(tanh_table):
+    # the kernel holds no cross block, and the posterior streams it through
+    # one n_train x _PANEL buffer: its peak is that panel, the room of one
+    # byte mask over it and the outputs. Two more panels of test points add
+    # only their inputs and outputs, to the kernel and to the posterior.
+    n_train, d_in, d_out = 600, 20, 10
+    n_test = 4 * _PANEL + 7
+    held, peak = build_and_posterior_memory(n_train, n_test, d_in, d_out, tanh_table)
+    panel = 8 * n_train * _PANEL
+    masks = n_train * _PANEL
+    outputs = 8 * ((n_train + n_test) * d_out + 2 * n_test)
+    assert peak <= panel + masks + outputs
+    assert panel + masks + outputs < 8 * n_train * n_test
+    held_fewer, peak_fewer = build_and_posterior_memory(n_train, n_test - 2 * _PANEL, d_in,
+                                                        d_out, tanh_table)
+    assert held - held_fewer <= 8 * 2 * _PANEL * (d_in + 1) + 2**14
+    assert peak - peak_fewer <= 8 * 2 * _PANEL * (d_out + 2) + 2**14
 
 
 # ---------------------------------------------------------------------------
