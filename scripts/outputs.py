@@ -72,10 +72,31 @@ def _regress() -> list[str]:
             "--calib-out", "calibration.csv"]
 
 
-def _sweep() -> list[str]:
-    config = {"dataset": _SWEEP_DATASET, "seed": 2, "model": {"phi": "tanh", "depth": 5}}
-    Path("config.json").write_text(json.dumps(config, indent=2))
-    return ["sweep", "--config", "config.json", "--cells", "3", "--out", "sweep.csv"]
+def _sweep(phi: str, depth: int):
+    def entry() -> list[str]:
+        config = {"dataset": _SWEEP_DATASET, "seed": 2, "model": {"phi": phi, "depth": depth}}
+        Path("config.json").write_text(json.dumps(config, indent=2))
+        return ["sweep", "--config", "config.json", "--cells", "3", "--out", "sweep.csv"]
+    return entry
+
+
+def _kernel(*flags: str):
+    def entry() -> list[str]:
+        return ["kernel", "--phi", "relu", "--depth", "9", "--sw2", "1.6", "--sb2", "0.1",
+                "--angles", "37", *flags, "--profile-out", "profile.csv"]
+    return entry
+
+
+def _phase(phi: str):
+    def entry() -> list[str]:
+        return ["phase", "--phi", phi, "--cells", "8", "--out", "phase.csv"]
+    return entry
+
+
+def _verify() -> list[str]:
+    return ["verify", "--phi", "tanh", "--depth", "2", "--sw2", "1.5", "--sb2", "0.1",
+            "--width", "64", "--networks", "200", "--points", "3", "--seed", "1",
+            "--out", "verify.json"]
 
 
 # name -> function writing the entry's inputs into the working directory
@@ -84,7 +105,13 @@ ENTRIES = {
     "run_relu_depth20": _run("relu", 20, 1.45, 0.28),
     "run_tanh_depth5": _run("tanh", 5, 1.5, 0.1),
     "regress_calibration": _regress,
-    "sweep_tanh_3x3": _sweep,
+    "sweep_tanh_3x3": _sweep("tanh", 5),
+    "sweep_relu_3x3": _sweep("relu", 5),
+    "kernel_relu_table": _kernel(),
+    "kernel_relu_analytic": _kernel("--analytic"),
+    "phase_relu": _phase("relu"),
+    "phase_tanh": _phase("tanh"),
+    "verify_tanh": _verify,
 }
 
 
