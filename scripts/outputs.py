@@ -47,14 +47,21 @@ _SWEEP_DATASET = {"format": "synthetic", "d_out": 4,
                                 "n_valid": 100, "seed": 2}}
 
 
-def _run(phi: str, depth: int, sigma_w2: float, sigma_b2: float):
+def _config(config: dict) -> list[str]:
+    """Write config to config.json; the arguments that pass it."""
+    Path("config.json").write_text(json.dumps(config, indent=2))
+    return ["--config", "config.json"]
+
+
+def _model(phi: str, depth: int, sigma_w2: float, sigma_b2: float) -> dict:
+    return {"phi": phi, "depth": depth, "sigma_w2": sigma_w2, "sigma_b2": sigma_b2}
+
+
+def _run(*model):
     def entry() -> list[str]:
-        config = {"dataset": _RUN_DATASET, "seed": 1,
-                  "model": {"phi": phi, "depth": depth, "sigma_w2": sigma_w2,
-                            "sigma_b2": sigma_b2},
-                  "outputs": {"report": "report.json", "predictions": "predictions.csv"}}
-        Path("config.json").write_text(json.dumps(config, indent=2))
-        return ["run", "--config", "config.json"]
+        return ["run", *_config({
+            "dataset": _RUN_DATASET, "seed": 1, "model": _model(*model),
+            "outputs": {"report": "report.json", "predictions": "predictions.csv"}})]
     return entry
 
 
@@ -66,37 +73,38 @@ def _regress() -> list[str]:
             w.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
             w.writerows([repr(float(v)) for v in row] + [int(label)]
                         for row, label in zip(x[rows], y[rows]))
-    return ["regress", "--train", "train.csv", "--test", "test.csv",
-            "--phi", "tanh", "--depth", "3", "--sw2", "1.5", "--sb2", "0.1",
-            "--d-out", "4", "--bin-size", "50", "--pred-out", "predictions.csv",
-            "--calib-out", "calibration.csv"]
+    return ["regress", *_config({"dataset": {"d_out": 4},
+                                 "model": _model("tanh", 3, 1.5, 0.1)}),
+            "--train", "train.csv", "--test", "test.csv", "--bin-size", "50",
+            "--pred-out", "predictions.csv", "--calib-out", "calibration.csv"]
 
 
 def _sweep(phi: str, depth: int):
     def entry() -> list[str]:
-        config = {"dataset": _SWEEP_DATASET, "seed": 2, "model": {"phi": phi, "depth": depth}}
-        Path("config.json").write_text(json.dumps(config, indent=2))
-        return ["sweep", "--config", "config.json", "--cells", "3", "--out", "sweep.csv"]
+        return ["sweep", *_config({"dataset": _SWEEP_DATASET, "seed": 2,
+                                   "model": {"phi": phi, "depth": depth}}),
+                "--cells", "3", "--out", "sweep.csv"]
     return entry
 
 
 def _kernel(*flags: str):
     def entry() -> list[str]:
-        return ["kernel", "--phi", "relu", "--depth", "9", "--sw2", "1.6", "--sb2", "0.1",
+        return ["kernel", *_config({"model": _model("relu", 9, 1.6, 0.1)}),
                 "--angles", "37", *flags, "--profile-out", "profile.csv"]
     return entry
 
 
 def _phase(phi: str):
+    # ReLU is the default phi, so its entry runs without a config
     def entry() -> list[str]:
-        return ["phase", "--phi", phi, "--cells", "8", "--out", "phase.csv"]
+        config = _config({"model": {"phi": phi}}) if phi != "relu" else []
+        return ["phase", *config, "--cells", "8", "--out", "phase.csv"]
     return entry
 
 
 def _verify() -> list[str]:
-    return ["verify", "--phi", "tanh", "--depth", "2", "--sw2", "1.5", "--sb2", "0.1",
-            "--width", "64", "--networks", "200", "--points", "3", "--seed", "1",
-            "--out", "verify.json"]
+    return ["verify", *_config({"model": _model("tanh", 2, 1.5, 0.1), "seed": 1}),
+            "--width", "64", "--networks", "200", "--points", "3", "--out", "verify.json"]
 
 
 # name -> function writing the entry's inputs into the working directory

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -14,12 +15,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def small_grid_args():
-    return ["--ng", "201", "--nv", "81", "--nc", "100", "--smax", "16", "--umax", "16"]
-
-
-# the grid of small_grid_args as a config's grid section
+# a coarse grid whose tables build in well under a second
 SMALL_GRID = {"n_g": 201, "n_v": 81, "n_c": 100, "s_max": 16.0, "u_max": 16.0}
+
+
+def write_config(tmp_path, **sections):
+    """A config of these sections at tmp_path/cfg.json; its path as a string."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(sections))
+    return str(cfg_path)
+
+
+def model(phi, depth, sigma_w2, sigma_b2):
+    return {"phi": phi, "depth": depth, "sigma_w2": sigma_w2, "sigma_b2": sigma_b2}
 
 
 def write_blob_csv(path, n, seed, d_in=8, d_out=4):
@@ -36,14 +44,14 @@ def write_blob_csv(path, n, seed, d_in=8, d_out=4):
 def test_table_build(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NNGP_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "t.lut"
-    rc = run_cli("table", "build", "--phi", "relu", *small_grid_args(),
-                 "--out", str(out))
+    cfg_path = write_config(tmp_path, model={"phi": "relu"}, grid=SMALL_GRID)
+    rc = run_cli("table", "build", "--config", cfg_path, "--out", str(out))
     assert rc == 0
     assert out.exists()
     first = capsys.readouterr().out
     assert "table ready" in first
     assert re.search(r"\(built in \d+\.\d\d s\)$", first.strip())
-    assert run_cli("table", "build", "--phi", "relu", *small_grid_args()) == 0
+    assert run_cli("table", "build", "--config", cfg_path) == 0
     assert capsys.readouterr().out.strip().endswith("(cached)")
 
 
@@ -54,20 +62,21 @@ def test_table_build_rebuilds_a_file_of_an_older_magic(tmp_path, capsys, monkeyp
     from .test_lookup import OLDER_MAGICS
 
     monkeypatch.setenv("NNGP_CACHE_DIR", str(tmp_path))
-    assert run_cli("table", "build", "--phi", "tanh", *small_grid_args()) == 0
+    cfg_path = write_config(tmp_path, model={"phi": "tanh"}, grid=SMALL_GRID)
+    assert run_cli("table", "build", "--config", cfg_path) == 0
     path = Path(capsys.readouterr().out.split("table ready: ")[1].split(" (")[0])
     raw = path.read_bytes()
     for magic in OLDER_MAGICS:
         path.write_bytes(magic + raw[len(_MAGIC):])
-        assert run_cli("table", "build", "--phi", "tanh", *small_grid_args()) == 0
+        assert run_cli("table", "build", "--config", cfg_path) == 0
         assert re.search(r"\(built in \d+\.\d\d s\)$", capsys.readouterr().out.strip())
         assert path.read_bytes() == raw
 
 
 def test_kernel_profile_csv(tmp_path):
     out = tmp_path / "profile.csv"
-    rc = run_cli("kernel", "--phi", "relu", "--depth", "3", "--sw2", "1.6",
-                 "--sb2", "0.1", "--analytic", "--angles", "19",
+    cfg_path = write_config(tmp_path, model=model("relu", 3, 1.6, 0.1))
+    rc = run_cli("kernel", "--config", cfg_path, "--analytic", "--angles", "19",
                  "--profile-out", str(out))
     assert rc == 0
     rows = list(csv.reader(out.read_text().splitlines()))
@@ -77,13 +86,15 @@ def test_kernel_profile_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(1.7)
 
 
+# argv: the config's phi and depth (the name keeps the test ids)
 @pytest.mark.parametrize("argv,message", [
-    (("--phi", "tanh", "--depth", "2"), "no analytic step for phi = 'tanh'"),
-    (("--phi", "relu", "--depth", "0"), "depth must be an integer >= 1"),
+    (("tanh", 2), "no analytic step for phi = 'tanh'"),
+    (("relu", 0), "depth must be an integer >= 1"),
 ])
 def test_kernel_input_error_exits_with_one_line(tmp_path, capsys, argv, message):
+    cfg_path = write_config(tmp_path, model=model(*argv, 1.6, 0.1))
     with pytest.raises(SystemExit) as exc:
-        run_cli("kernel", *argv, "--sw2", "1.6", "--sb2", "0.1", "--analytic",
+        run_cli("kernel", "--config", cfg_path, "--analytic",
                 "--profile-out", str(tmp_path / "profile.csv"))
     assert exc.value.code == 2
     err = capsys.readouterr().err
@@ -103,13 +114,13 @@ def test_input_error_exits_as_usage_error(tmp_path, capsys, case, message):
     write_blob_csv(test, 10, seed=2, d_in=5 if case == "d_in_mismatch" else 8)
     if case == "missing_train":
         train = tmp_path / "missing.csv"
-    model = ("--phi", "tanh", "--depth", "2", *small_grid_args())
     if case == "missing_dataset":
         argv = ("sweep", "--config", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "sweep.csv"))
     else:
-        argv = ("regress", "--train", str(train), "--test", str(test), *model,
-                "--sw2", "1.3", "--sb2", "0.2", "--d-out", "4",
+        cfg_path = write_config(tmp_path, model=model("tanh", 2, 1.3, 0.2),
+                                grid=SMALL_GRID, dataset={"d_out": 4})
+        argv = ("regress", "--config", cfg_path, "--train", str(train), "--test", str(test),
                 "--pred-out", str(tmp_path / "pred.csv"))
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
@@ -162,10 +173,10 @@ def test_regress_end_to_end(tmp_path, capsys):
     write_blob_csv(test, 20, seed=2)
     pred = tmp_path / "pred.csv"
     calib = tmp_path / "calib.csv"
-    rc = run_cli("regress", "--train", str(train), "--test", str(test),
-                 "--phi", "tanh", "--depth", "2", "--sw2", "1.3", "--sb2", "0.2",
-                 *small_grid_args(), "--d-out", "4", "--bin-size", "10",
-                 "--pred-out", str(pred), "--calib-out", str(calib))
+    cfg_path = write_config(tmp_path, model=model("tanh", 2, 1.3, 0.2), grid=SMALL_GRID,
+                            dataset={"d_out": 4})
+    rc = run_cli("regress", "--config", cfg_path, "--train", str(train), "--test", str(test),
+                 "--bin-size", "10", "--pred-out", str(pred), "--calib-out", str(calib))
     assert rc == 0
     assert "accuracy" in capsys.readouterr().out
     rows = list(csv.reader(pred.read_text().splitlines()))
@@ -178,7 +189,8 @@ def test_regress_end_to_end(tmp_path, capsys):
 
 def test_phase_csv(tmp_path):
     out = tmp_path / "phase.csv"
-    rc = run_cli("phase", "--phi", "relu", "--cells", "4", "--out", str(out))
+    cfg_path = write_config(tmp_path, model={"phi": "relu"})
+    rc = run_cli("phase", "--config", cfg_path, "--cells", "4", "--out", str(out))
     assert rc == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["sw2", "sb2", "q_star", "c_star", "chi1", "xi", "phase"]
@@ -189,10 +201,10 @@ def test_phase_csv(tmp_path):
 
 def test_verify_json(tmp_path):
     out = tmp_path / "verify.json"
-    rc = run_cli("verify", "--phi", "tanh", "--depth", "2", "--sw2", "1.2",
-                 "--sb2", "0.2", *small_grid_args(), "--width", "128",
-                 "--networks", "2000", "--seed", "0", "--points", "3",
-                 "--out", str(out))
+    cfg_path = write_config(tmp_path, model=model("tanh", 2, 1.2, 0.2), grid=SMALL_GRID,
+                            seed=0)
+    rc = run_cli("verify", "--config", cfg_path, "--width", "128",
+                 "--networks", "2000", "--points", "3", "--out", str(out))
     assert rc == 0
     payload = json.loads(out.read_text())
     emp = np.array(payload["empirical"])
@@ -210,9 +222,9 @@ def test_verify_seed_one_within_six_stderr(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     verify = importlib.import_module("workloads").VerifyWorkload
     out = tmp_path / "verify.json"
-    rc = run_cli("verify", "--phi", "tanh", "--depth", "3", "--sw2", "1.5",
-                 "--sb2", "0.1", "--width", "1024", "--networks", "2000",
-                 "--seed", "1", "--out", str(out))
+    cfg_path = write_config(tmp_path, model=model("tanh", 3, 1.5, 0.1), seed=1)
+    rc = run_cli("verify", "--config", cfg_path, "--width", "1024", "--networks", "2000",
+                 "--out", str(out))
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["max_deviation_in_stderr"] < 6.0
@@ -236,10 +248,10 @@ def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(finite_width, "_batch_sums", counted)
     out = tmp_path / "verify.json"
-    rc = run_cli("verify", "--phi", "tanh", "--depth", "2", "--sw2", "1.2",
-                 "--sb2", "0.2", *small_grid_args(), "--width", "512",
-                 "--networks", "3000", "--seed", "4", "--points", "3",
-                 "--out", str(out))
+    cfg_path = write_config(tmp_path, model=model("tanh", 2, 1.2, 0.2), grid=SMALL_GRID,
+                            seed=4)
+    rc = run_cli("verify", "--config", cfg_path, "--width", "512",
+                 "--networks", "3000", "--points", "3", "--out", str(out))
     assert rc == 0
     plan = finite_width._batch_plan(3000, 3, 512)
     assert len(plan) > 1 and len(batches) == len(plan)
@@ -367,20 +379,63 @@ def test_sweep_refuses_a_config_noise_it_would_not_use(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,rest,message", [
-    ("--dataset", (), "the following arguments are required: --config"),
+_MODEL_FLAGS = ("--phi", "tanh", "--depth", "2", "--sw2", "1.3", "--sb2", "0.2")
+_GRID_FLAGS = ("--ng", "201", "--nv", "81", "--nc", "100", "--smax", "16", "--umax", "16")
+# each other subcommand, with its required flags up to its output flag, and
+# the flags that the config replaced on it
+_REPLACED_FLAGS = {
+    ("table", "build", "--out"): ("--phi", "tanh", *_GRID_FLAGS),
+    ("kernel", "--profile-out"): (*_MODEL_FLAGS, *_GRID_FLAGS),
+    ("regress", "--train", "train.csv", "--test", "test.csv", "--pred-out"):
+        (*_MODEL_FLAGS, *_GRID_FLAGS, "--noise", "1e-4", "--d-out", "4"),
+    ("phase", "--out"): ("--phi", "tanh", *_GRID_FLAGS),
+    ("verify", "--width", "64", "--networks", "200", "--out"):
+        (*_MODEL_FLAGS, *_GRID_FLAGS, "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("flag,rest,message,command", [
+    ("--dataset", (), "the following arguments are required: --config", ("sweep", "--out")),
     ("--config", ("--phi", "tanh", "--depth", "2"),
-     "unrecognized arguments: --phi tanh --depth 2"),
+     "unrecognized arguments: --phi tanh --depth 2", ("sweep", "--out")),
+    *(("--config", rest, "unrecognized arguments: " + " ".join(rest), command)
+      for command, rest in _REPLACED_FLAGS.items()),
 ])
 def test_sweep_flags_that_the_config_replaced_are_usage_errors(tmp_path, capsys, flag, rest,
-                                                               message):
+                                                               message, command):
     cfg_path = write_sweep_config(tmp_path)
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli("sweep", flag, str(cfg_path), *rest, "--out", str(out))
+        run_cli(*command, str(out), flag, str(cfg_path), *rest)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_subcommand_has_only_its_own_flags():
+    from nngp.cli import build_parser
+
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def options(parser):
+        return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+    commands = subparsers(build_parser())
+    found = {name: options(parser) for name, parser in commands.items() if name != "table"}
+    found["table build"] = options(subparsers(commands["table"])["build"])
+    assert found == {
+        "table build": {"--config", "--out"},
+        "kernel": {"--config", "--angles", "--analytic", "--profile-out"},
+        "regress": {"--config", "--train", "--test", "--bin-size", "--pred-out",
+                    "--calib-out"},
+        "phase": {"--config", "--cells", "--out"},
+        "sweep": {"--config", "--cells", "--out"},
+        "verify": {"--config", "--width", "--networks", "--points", "--out"},
+        "run": {"--config"},
+    }
+    assert sum(map(len, found.values())) == 24
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -494,10 +549,56 @@ def test_phase_refuses_cells_below_one(tmp_path, capsys, monkeypatch, cells):
     monkeypatch.setattr(nngp.cli.lookup, "load_or_build", no_table)
     out = tmp_path / "phase.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli("phase", "--phi", "tanh", "--cells", cells, "--out", str(out))
+        run_cli("phase", "--config", write_config(tmp_path, model={"phi": "tanh"}),
+                "--cells", cells, "--out", str(out))
     assert exc.value.code == 2
     assert f"argument --cells: must be at least 1, not {cells}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag,value,low", [
+    (("kernel", "--analytic", "--profile-out"), "--angles", "0", 1),
+    (("kernel", "--analytic", "--profile-out"), "--angles", "-3", 1),
+    (("verify", "--width", "16", "--networks", "20", "--out"), "--points", "0", 1),
+    (("verify", "--width", "16", "--points", "3", "--out"), "--networks", "1", 2),
+    (("regress", "--train", "train.csv", "--test", "test.csv", "--pred-out"),
+     "--bin-size", "0", 1),
+])
+def test_counts_below_their_least_are_usage_errors(tmp_path, capsys, monkeypatch, argv, flag,
+                                                   value, low):
+    # kernel --angles 0 used to end in an IndexError traceback from
+    # kernel._compose (exit 1); verify --points 0 sampled and then exited 2 on
+    # "zero-size array to reduction operation maximum"; verify --networks 1
+    # wrote NaN, Infinity and -Infinity, which are not JSON, since the
+    # jackknife needs two networks; regress --bin-size 0 wrote the predictions
+    # and then exited 2 from calibration_bins
+    import nngp.cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"work was done for a refused {flag}")
+
+    monkeypatch.setattr(nngp.cli, "angular_profile", refused)
+    monkeypatch.setattr(nngp.cli, "sample_empirical_kernel", refused)
+    monkeypatch.setattr(nngp.cli, "posterior", refused)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, str(out), flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {low}, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_with_two_networks_writes_finite_json(tmp_path):
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    out = tmp_path / "verify.json"
+    cfg_path = write_config(tmp_path, model=model("tanh", 2, 1.2, 0.2), grid=SMALL_GRID)
+    assert run_cli("verify", "--config", cfg_path, "--width", "16", "--networks", "2",
+                   "--points", "3", "--out", str(out)) == 0
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["n_networks"] == 2
+    assert np.isfinite(payload["stderr"]).all()
 
 
 @pytest.mark.parametrize("cells", ["0", "two"])

@@ -26,7 +26,7 @@ def test_two_writes_compare_identical_and_one_ulp_is_reported(tmp_path, capsys):
     capsys.readouterr()
     assert outputs.main(["compare", str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.endswith(": identical") for line in lines)
 
     path = b / "regress_calibration" / "predictions.csv"
