@@ -5,7 +5,7 @@
 
 ``write`` runs each entry of ENTRIES through ``nngp.cli.main`` in this
 process, in DIR/NAME/ and with paths relative to it, and saves its output
-files and its stdout there, then
+files, its stdout and its stderr there, then
 DIR/manifest.json: the entries run, the numpy and scipy versions and the
 thread count of scipy's OpenBLAS, since the bits of a posterior depend on
 all three. Lookup tables come from the cache at NNGP_CACHE_DIR (built there
@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +146,22 @@ def write(directory: Path, names: list[str]) -> None:
         os.chdir(out)
         try:
             argv = ENTRIES[name]()
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = nngp_main(argv)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings():
+                # each entry shows its own warnings, whatever ran before it
+                warnings.simplefilter("default")
+                try:
+                    code = nngp_main(argv)
+                except SystemExit as exc:  # a usage error, its message on stderr
+                    code = exc.code
         finally:
             os.chdir(home)
         if code != 0:
-            raise SystemExit(f"{name}: nngp {' '.join(argv)} exited {code}")
+            raise SystemExit(f"{name}: nngp {' '.join(argv)} exited {code}:\n"
+                             f"{stderr.getvalue()}")
         (out / "stdout.txt").write_text(stdout.getvalue())
+        (out / "stderr.txt").write_text(stderr.getvalue())
     manifest = {"entries": names, "numpy": np.__version__, "scipy": scipy.__version__,
                 "blas_threads": blas_threads()}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -136,8 +136,9 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError naming the first field of a wrong type or value, and
-        FileNotFoundError for a missing data file, before any data is read."""
+        """Raise ValueError naming the first field of a wrong type or value.
+        Data files are checked by :func:`build_dataset`, which reads them: a
+        subcommand that reads no data runs on a config whose files are absent."""
         if self.dataset_format not in ("mnist", "cifar10", "csv", "synthetic"):
             raise ValueError(f"unknown dataset format {self.dataset_format!r}")
         _refuse_unknown(("grid", self.grid, tuple(inspect.signature(build_grid).parameters)),
@@ -168,11 +169,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be {kind}, not {value!r}")
         self.hyperparams()  # built for their own checks, before any data is read
         build_grid(**self.grid)
-        for key, value in self.dataset_paths.items():
-            paths = value if isinstance(value, list) else [value]
-            for p in paths:
-                if not Path(p).exists():
-                    raise FileNotFoundError(f"dataset.{key}: {p} does not exist")
 
     def hyperparams(self) -> NetworkHyperparams:
         return NetworkHyperparams(depth=self.depth, sigma_w2=self.sigma_w2,
@@ -215,6 +211,13 @@ def load_raw(config: RunConfig) -> tuple[np.ndarray, np.ndarray, tuple[int, int,
 
 
 def build_dataset(config: RunConfig) -> Dataset:
+    """The configured dataset, preprocessed and split. Every data file the
+    config names is checked first, so a missing one raises FileNotFoundError
+    naming its key before any file is read."""
+    for key, value in config.dataset_paths.items():
+        for p in value if isinstance(value, list) else [value]:
+            if not Path(p).exists():
+                raise FileNotFoundError(f"dataset.{key}: {p} does not exist")
     x, y, default_split = load_raw(config)
     split = config.split or default_split
     ds = preprocess(x, y, config.d_out, split, config.seed)

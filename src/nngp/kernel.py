@@ -90,6 +90,8 @@ class NetworkHyperparams:
         require_number("depth", self.depth, integer=True)
         if self.depth < 1:
             raise ValueError(f"depth must be an integer >= 1, got {self.depth}")
+        # an integral float such as 3.0 counts as a depth, stored as an int
+        object.__setattr__(self, "depth", int(self.depth))
         for name in ("sigma_w2", "sigma_b2", "noise"):
             check_nonnegative(name, getattr(self, name))
         object.__setattr__(self, "phi", registered_activation(self.phi).name)
@@ -367,17 +369,13 @@ def _rfp_views(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a[1 - odd:], a[:n - n1, odd:odd + n - n1].T
 
 
-def _rfp_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices in the RFP array of L[i, j], i >= j (see :func:`_rfp_views`)."""
-    n1, odd = (n + 1) // 2, n % 2
-    lda = n + 1 - odd
-    return np.where(j < n1, j * lda + i + 1 - odd, (i - n1 + odd) * lda + j - n1)
-
-
 def _rfp_diagonal(n: int) -> np.ndarray:
-    """Flat indices of L's diagonal in its RFP array."""
-    d = np.arange(n)
-    return _rfp_index(d, d, n)
+    """Flat indices of L's diagonal in its RFP array (see :func:`_rfp_views`):
+    its first n1 entries down the rectangle's leading columns, the trailing
+    triangle's across its top rows."""
+    n1, odd = (n + 1) // 2, n % 2
+    lda, d = n + 1 - odd, np.arange(n)
+    return np.where(d < n1, d * lda + d + 1 - odd, (d - n1 + odd) * lda + d - n1)
 
 
 def _pack_lower(a: np.ndarray) -> np.ndarray:
@@ -457,20 +455,20 @@ class _Plan:
     A kernel is read off in two parts: its train block's lower triangle into
     an RFP array (:meth:`fill`, see :func:`_rfp_views`), and any range of
     its cross block's test columns into an F-order array (:meth:`read_cross`),
-    on request. Both read the Gram in panels (:func:`_panels`) and each
-    panel in row blocks, train rows up to the diagonal and test rows across,
-    storing only the entries on or below the diagonal.
+    on request. Both run over the Gram in panels (:func:`_panels`) and each
+    panel in row blocks (:meth:`_blocks`), train rows up to the diagonal and
+    test rows across, storing only the entries on or below the diagonal.
 
-    A plan that is not kept forms each panel as it reads it: a train panel
-    in one n_train x _PANEL_ROWS buffer whose triangle is then copied into
-    the packed block, a test panel in the output's own columns. So no
+    A plan that is not kept locates every block as it reads it
+    (:meth:`_read_panels`): it forms a train panel in one n_train x
+    _PANEL_ROWS buffer and a test panel in the output's own columns. So no
     n_train^2 or n_train x n_test array exists, and the packed block can be
     read off again after a factor has consumed it. A kept plan (``keep``)
-    reads every panel once the same way, a panel at a time, and keeps each
-    stored entry's interval and offset in the kernel's own layout, with the
-    tail entries' values: about two kernel-sized arrays, from which any
-    number of kernels are gathered. This is one plan per sweep, and one for
-    all the layers of :func:`iter_kernel_layers`.
+    locates every block once, the same way, and keeps each as it was
+    located: its offsets, intervals and tail entries, about two
+    kernel-sized arrays in all. Every read replays the kept blocks through
+    the same formula as a fresh read, and forms no Gram. This is one plan
+    per sweep, and one for all the layers of :func:`iter_kernel_layers`.
     """
 
     def __init__(self, train_inputs: np.ndarray, test_inputs: np.ndarray | None,
@@ -482,7 +480,7 @@ class _Plan:
             x_all = np.array(x_train, order="C")
         else:
             x_all = np.vstack([x_train, np.asarray(test_inputs, dtype=np.float64)])
-        self.x_train, self.x_test = x_all[:n_train], x_all[n_train:]
+        self.x_all = x_all
         self.n_all, d_in = x_all.shape
         self.n_test = self.n_all - n_train
         self.rho = _common_squared_norm(x_all) / d_in
@@ -508,8 +506,8 @@ class _Plan:
         self.kept = None
         if keep:
             self.kept = self._keep()
-            # a kept plan gathers every kernel from what it keeps
-            self.x_train = self.x_test = None
+            # a kept plan replays its blocks and forms no Gram again
+            self.x_all = None
 
     def bucket(self, v: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The buckets of v, written into the intp array out through the float work."""
@@ -538,33 +536,36 @@ class _Plan:
             for r0 in range(p0, p1, step):
                 yield r0, min(p1, r0 + step), n_train
 
-    def _read_panels(self, r0: int, r1: int, cross: np.ndarray | None = None):
-        """Yield each block's (r0, v, e, tail, tail values, work) over the
-        plan's rows r0:r1, all train rows or all test rows, with v the Gram
-        rows up to c1, its offsets written over it.
+    def _block_size(self, r0: int, r1: int) -> int:
+        """The most entries in one row block over the plan's rows r0:r1; a
+        test block holds more than _BLOCK_ENTRIES once n_train > 4096."""
+        return max([(b1 - b0) * c1 for p in _panels(r0, r1) for b0, b1, c1 in self._blocks(*p)],
+                   default=0)
+
+    def _read_panels(self, r0: int, r1: int, work: np.ndarray,
+                     cross: np.ndarray | None = None):
+        """Locate each row block over the plan's rows r0:r1, all train rows
+        or all test rows, and yield its (r0, dv, e, tail, tail values): dv
+        the block's Gram rows up to c1 with their offsets written over them,
+        tail the flat indices in dv of its tail entries.
 
         e counts the nodes at or below each entry, so interval e - 1 holds it
-        and index e of start, slope and level is that interval; e lives in a
-        work buffer that the next block reuses. Train panels are formed in
-        one buffer, test panels in the columns of the F-order cross, whose
-        column 0 is row r0.
+        and index e of start, slope and level is that interval; dv and e live
+        in buffers that the next block reuses, and the float work of
+        _block_size(r0, r1) entries is free again at each yield. Panels are
+        formed in one buffer, or test panels in the columns of the F-order
+        cross, whose column 0 is row r0.
         """
-        n_train = self.n_train
-        train = r0 < n_train
+        x_all, x_train = self.x_all, self.x_all[:self.n_train]
         panels = _panels(r0, r1)
-        size = max([(b1 - b0) * c1 for p in panels for b0, b1, c1 in self._blocks(*p)],
-                   default=0)
-        work, buckets, intervals = np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp)
+        size = work.size
+        buckets, intervals = np.empty(size, np.intp), np.empty(size, np.intp)
         mask = np.empty(size, bool)
-        if train and panels:
-            buffer = np.empty((n_train, max(p1 - p0 for p0, p1 in panels)), order="F")
+        if cross is None and panels:
+            buffer = np.empty((self.n_train, max(p1 - p0 for p0, p1 in panels)), order="F")
         for p0, p1 in panels:
-            if train:
-                out = buffer[:, :p1 - p0]
-                _gram_rows(self.x_train[p0:p1], self.x_train, out)
-            else:
-                out = cross[:, p0 - r0:p1 - r0]
-                _gram_rows(self.x_test[p0 - n_train:p1 - n_train], self.x_train, out)
+            out = buffer[:, :p1 - p0] if cross is None else cross[:, p0 - r0:p1 - r0]
+            _gram_rows(x_all[p0:p1], x_train, out)
             panel = out.T
             for b0, b1, c1 in self._blocks(p0, p1):
                 v = panel[b0 - p0:b1 - p0, :c1]
@@ -579,37 +580,17 @@ class _Plan:
                 tail = np.flatnonzero(np.greater_equal(b, self.cut, out=m))
                 tail_values = v.flat[tail]
                 np.subtract(v, np.take(self.start, e, out=f, mode="clip"), out=v)
-                yield b0, v, e, tail, tail_values, work
+                yield b0, v, e, tail, tail_values
 
-    def _keep(self):
-        """(offsets, intervals, tail indices, tail values, train tails): every
-        stored entry's offset and interval, in the kernel's layout, and the
-        tail entries' indices and values, the first train tails of them in
-        the packed train block, the cross block's after them in order."""
-        n_train, packed_size = self.n_train, self.packed_size
-        size = packed_size + n_train * self.n_test
-        dv, e_all = np.empty(size), np.empty(size, np.intp)
-        dv_first, dv_last = _rfp_views(dv[:packed_size], n_train)
-        e_first, e_last = _rfp_views(e_all[:packed_size], n_train)
-        dv_cross, e_cross = (a[packed_size:].reshape((n_train, self.n_test), order="F")
-                             for a in (dv, e_all))
-        index, values, train_tails = [np.empty(0, np.intp)], [np.empty(0)], 0
-        for r0, v, e, tail, tail_values, _ in self._read_panels(0, n_train):
-            i, j = np.divmod(tail, v.shape[1])
-            i += r0
-            _put_lower(dv_first, dv_last, v, r0)
-            _put_lower(e_first, e_last, e, r0)
-            on = j <= i
-            index.append(_rfp_index(i[on], j[on], n_train))
-            values.append(tail_values[on])
-            train_tails += index[-1].size
-        # the test panels are formed in dv's own cross columns, so their
-        # offsets are written in place
-        for r0, v, e, tail, tail_values, _ in self._read_panels(n_train, self.n_all, dv_cross):
-            e_cross[:, r0 - n_train:r0 - n_train + v.shape[0]] = e.T
-            index.append(packed_size + (r0 - n_train) * n_train + tail)
-            values.append(tail_values)
-        return dv, e_all, np.concatenate(index), np.concatenate(values), train_tails
+    def _keep(self) -> list[tuple]:
+        """Every row block as :meth:`_read_panels` locates it, train blocks
+        then test blocks, each test panel formed in one panel buffer; each
+        block's offsets and intervals are copied out of the buffers the next
+        block reuses."""
+        return [(b0, dv.copy(), e.copy(), tail, tail_values)
+                for r0, r1 in ((0, self.n_train), (self.n_train, self.n_all))
+                for b0, dv, e, tail, tail_values in self._read_panels(
+                    r0, r1, np.empty(self._block_size(r0, r1)))]
 
     def transfer(self, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(fp, slope, level): np.interp's formula on every interval of the
@@ -620,43 +601,40 @@ class _Plan:
         return fp, slope, np.concatenate([fp[:1], fp])
 
     def _read(self, transfer: tuple, r0: int, r1: int, out: np.ndarray) -> None:
-        """Read the plan's rows r0:r1 off by forming their Gram panels: train
-        rows' lower entries into the RFP array out, or test rows into the
-        F-order out's columns.
+        """Read the plan's rows r0:r1 off, all train rows or test rows from
+        one block bound to another: train rows' lower entries into the RFP
+        array out, or test rows into the F-order out's columns.
 
-        Each entry is np.interp(v, nodes, fp), bit for bit, read in its
-        order (v - start[e]) slope[e] + level[e].
+        The row blocks are located afresh (:meth:`_read_panels`), or replayed
+        as a kept plan keeps them; one loop reads both. Each entry is
+        np.interp(v, nodes, fp), bit for bit, read in its order
+        (v - start[e]) slope[e] + level[e], and a block's tail entries by
+        np.interp itself.
         """
         fp, slope, level = transfer
         train = r0 < self.n_train
+        work = np.empty(self._block_size(r0, r1))
+        if self.kept is None:
+            blocks = self._read_panels(r0, r1, work, None if train else out)
+        else:
+            blocks = (block for block in self.kept if r0 <= block[0] < r1)
+            rows = np.empty_like(work) if train else None
         if train:
             first, last = _rfp_views(out, self.n_train)
-        for b0, v, e, tail, tail_values, work in self._read_panels(
-                r0, r1, None if train else out):
+        for b0, dv, e, tail, tail_values in blocks:
             w = work[:e.size].reshape(e.shape)
-            np.multiply(v, np.take(slope, e, out=w, mode="clip"), out=v)
+            if self.kept is None:
+                v = dv  # in its panel, which for test rows is out's own columns
+            elif train:
+                v = rows[:e.size].reshape(e.shape)
+            else:
+                v = out.T[b0 - r0:b0 - r0 + len(e)]
+            np.multiply(dv, np.take(slope, e, out=w, mode="clip"), out=v)
             v += np.take(level, e, out=w, mode="clip")
-            v.flat[tail] = np.interp(tail_values, self.nodes, fp)
+            if tail.size:
+                v.flat[tail] = np.interp(tail_values, self.nodes, fp)
             if train:
                 _put_lower(first, last, v, b0)
-
-    def _gather(self, transfer: tuple, lo: int, hi: int, out: np.ndarray) -> None:
-        """Gather entries lo:hi of a kernel's layout (the packed block, then
-        the cross block's columns) from a kept plan into the flat out, with
-        the same floats as :meth:`_read`."""
-        fp, slope, level = transfer
-        dv, e_all, index, values, train_tails = self.kept
-        w = np.empty(min(hi - lo, _BLOCK_ENTRIES))
-        for c0 in range(lo, hi, _BLOCK_ENTRIES):
-            c1 = min(hi, c0 + _BLOCK_ENTRIES)
-            block, e, wc = out[c0 - lo:c1 - lo], e_all[c0:c1], w[:c1 - c0]
-            np.multiply(dv[c0:c1], np.take(slope, e, out=wc, mode="clip"), out=block)
-            block += np.take(level, e, out=wc, mode="clip")
-        if lo < self.packed_size:
-            t0, t1 = 0, train_tails
-        else:
-            t0, t1 = train_tails + np.searchsorted(index[train_tails:], (lo, hi))
-        out[index[t0:t1] - lo] = np.interp(values[t0:t1], self.nodes, fp)
 
     def fill(self, transfer: tuple, packed: np.ndarray) -> None:
         """Write the train block of the kernel with transfer row transfer
@@ -665,10 +643,7 @@ class _Plan:
         The diagonal is then set to fp[-1], the layer variance: a general
         matrix product need not put exactly the same value on it.
         """
-        if self.kept is None:
-            self._read(transfer, 0, self.n_train, packed)
-        else:
-            self._gather(transfer, 0, self.packed_size, packed)
+        self._read(transfer, 0, self.n_train, packed)
         packed[self.diagonal] = transfer[0][-1]
 
     def read_cross(self, transfer: tuple, c0: int, c1: int, out: np.ndarray) -> None:
@@ -676,12 +651,9 @@ class _Plan:
         transfer row transfer into the F-order (n_train, c1 - c0) out.
 
         c0 is a multiple of _PANEL_ROWS, so the entries are the bits of a
-        whole read-off (see :func:`_panels`)."""
-        if self.kept is None:
-            self._read(transfer, self.n_train + c0, self.n_train + c1, out)
-        else:
-            lo = self.packed_size + c0 * self.n_train
-            self._gather(transfer, lo, lo + out.size, out.reshape(-1, order="F"))
+        whole read-off (see :func:`_panels`), and c1 is one too or n_test,
+        so a kept plan's blocks fall wholly inside the range or outside it."""
+        self._read(transfer, self.n_train + c0, self.n_train + c1, out)
 
     def read_off(self, hp: NetworkHyperparams, table: LookupTable, layers):
         """Yield the KernelMatrix at each of layers.

@@ -295,13 +295,14 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
     cell is read off one kept kernel plan over the train and validation
     inputs, so the Gram is formed (a panel of rows at a time) and each
     entry's interval found once per sweep. A cell composes its layer map,
-    gathers its packed train triangle into a new buffer, and gathers the
-    cross block a panel of validation columns at a time as the mean step
-    streams it. One lookup table is shared across all cells. Per-cell
-    failures (variance escaping the table, factorization breakdown) leave
-    nan cells and record their reason; a plan that fails (inputs of unequal
-    norm) records its reason in every cell. A cell never warns "posterior
-    variance reached", since it forms no variance.
+    reads its packed train triangle off the kept row blocks into a new
+    buffer, and reads the cross block off them a panel of validation columns
+    at a time as the mean step streams it. One lookup table is shared
+    across all cells. Per-cell failures (variance escaping the table,
+    factorization breakdown) leave nan cells and record their reason; a
+    plan that fails (inputs of unequal norm) records its reason in every
+    cell. A cell never warns "posterior variance reached", since it forms no
+    variance.
     """
     sw2_grid = np.asarray(sw2_grid, float)
     sb2_grid = np.asarray(sb2_grid, float)

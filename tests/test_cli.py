@@ -86,6 +86,19 @@ def test_kernel_profile_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(1.7)
 
 
+def test_kernel_reads_an_integral_float_depth_as_that_depth(tmp_path):
+    # JSON's 3.0 passes the integer check; the profile is depth 3's, byte for byte
+    outputs = []
+    for depth in (3, 3.0):
+        out = tmp_path / f"profile_{depth!r}.csv"
+        cfg_path = write_config(tmp_path, model=model("relu", depth, 1.6, 0.1))
+        assert run_cli("kernel", "--config", cfg_path, "--analytic", "--angles", "19",
+                       "--profile-out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0].endswith(b"k_layer_3")
+
+
 # argv: the config's phi and depth (the name keeps the test ids)
 @pytest.mark.parametrize("argv,message", [
     (("tanh", 2), "no analytic step for phi = 'tanh'"),
@@ -279,6 +292,38 @@ def test_verify_samples_once_like_the_public_calls(tmp_path, monkeypatch):
         "seed": 4,
     }
     assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True)
+
+
+# an MNIST run config on a machine without the data
+ABSENT_MNIST = {"format": "mnist", **{key: f"absent/{key}.gz" for key in (
+    "train_images", "train_labels", "test_images", "test_labels")}}
+
+
+@pytest.mark.parametrize("command,rest", [
+    (("table", "build"), ()),
+    (("kernel",), ("--analytic", "--angles", "5", "--profile-out", "out.csv")),
+    (("phase",), ("--cells", "2", "--out", "out.csv")),
+    (("verify",), ("--width", "8", "--networks", "2", "--points", "2", "--out", "out.json")),
+], ids=["table_build", "kernel", "phase", "verify"])
+def test_subcommands_that_read_no_data_run_on_a_config_whose_files_are_absent(
+        tmp_path, monkeypatch, command, rest):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, dataset=ABSENT_MNIST, model=model("relu", 2, 1.6, 0.1),
+                            grid=SMALL_GRID)
+    assert run_cli(*command, "--config", cfg_path, *rest) == 0
+
+
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--out", "out.csv")],
+                         ids=lambda command: command[0])
+def test_run_and_sweep_name_an_absent_data_file(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, dataset=ABSENT_MNIST, grid=SMALL_GRID)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command[0], "--config", cfg_path, *command[1:])
+    assert exc.value.code == 2
+    assert "dataset.train_images: absent/train_images.gz does not exist" in \
+        capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def write_sweep_config(tmp_path, **sections):

@@ -1,12 +1,14 @@
 import gzip
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nngp import RunConfig, find_mnist, run_experiment, synthetic_blobs
-from nngp.experiment import build_dataset
+from nngp import data as data_mod
+from nngp.experiment import MNIST_FILES, build_dataset
 
 
 def synthetic_config(tmp_path, **overrides):
@@ -190,8 +192,6 @@ def test_config_split_from_json_is_a_tuple(tmp_path):
 
 
 def test_find_mnist_needs_all_four_files(tmp_path, monkeypatch):
-    from nngp.experiment import MNIST_FILES
-
     monkeypatch.delenv("NNGP_DATA_DIR", raising=False)
     assert find_mnist() is None
     stems = list(MNIST_FILES.values())
@@ -206,11 +206,26 @@ def test_find_mnist_needs_all_four_files(tmp_path, monkeypatch):
 
 
 def test_config_missing_file_rejected(tmp_path):
+    # the config loads (a subcommand may read no data); its dataset does not
     payload = {"dataset": {"format": "csv", "path": str(tmp_path / "nope.csv")}}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(FileNotFoundError, match="nope.csv"):
-        RunConfig.from_json(p)
+    cfg = RunConfig.from_json(p)
+    with pytest.raises(FileNotFoundError, match="dataset.path: .*nope.csv does not exist"):
+        build_dataset(cfg)
+
+
+def test_every_data_file_is_checked_before_any_is_read(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a data file was read")
+
+    monkeypatch.setattr(data_mod, "load_mnist_idx", refused)
+    paths = {key: str(tmp_path / stem) for key, stem in MNIST_FILES.items()}
+    for key in ("train_images", "train_labels", "test_images"):
+        Path(paths[key]).write_bytes(b"")
+    cfg = RunConfig(dataset_format="mnist", dataset_paths=paths)
+    with pytest.raises(FileNotFoundError, match="dataset.test_labels: "):
+        build_dataset(cfg)
 
 
 def test_config_unknown_format_rejected():

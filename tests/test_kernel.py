@@ -418,6 +418,23 @@ def test_build_peaks_at_packed_cross_and_one_gram_panel(tanh_table):
     assert peak <= packed + cross + panel + 2 * 2**20
 
 
+def test_kept_plan_memory_is_its_offsets_and_intervals():
+    # a kept plan holds each stored entry's offset and interval, 16 bytes,
+    # 183.1 MiB here, and while it locates them one Gram panel (7.8 MiB)
+    # and block buffers beside. Laid out in the kernel's own order the same
+    # entries held 183.8 MiB and peaked at 195.4 MiB; the bounds allow 2%
+    x_train = constant_norm_points(4000, 50, seed=8)
+    x_test = constant_norm_points(1000, 50, seed=9)
+    tracemalloc.start()
+    try:
+        _Plan(x_train, x_test, keep=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 187 * 2**20
+    assert peak <= 199 * 2**20
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 773])
 def test_mirror_lower_copies_the_strict_lower_triangle(n, order):

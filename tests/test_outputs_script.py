@@ -26,7 +26,7 @@ def test_two_writes_compare_identical_and_one_ulp_is_reported(tmp_path, capsys):
     capsys.readouterr()
     assert outputs.main(["compare", str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 13
     assert all(line.endswith(": identical") for line in lines)
 
     path = b / "regress_calibration" / "predictions.csv"
@@ -40,3 +40,34 @@ def test_two_writes_compare_identical_and_one_ulp_is_reported(tmp_path, capsys):
     moved = [line for line in lines if not line.endswith(": identical")]
     assert len(moved) == 1
     assert moved[0].startswith("regress_calibration/predictions.csv: numeric cells moved: 1 of ")
+
+
+def test_two_full_writes_compare_identical(tmp_path, capsys):
+    # the gate a change's byte-identity claim rests on: every entry, twice
+    outputs = load_script()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        assert outputs.main(["write", str(side)]) == 0
+    capsys.readouterr()
+    assert outputs.main(["compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(": identical") for line in lines)
+    names = {line.partition(":")[0].partition("/")[0] for line in lines}
+    assert names == {*outputs.ENTRIES, "manifest.json"}
+
+
+def test_a_changed_stderr_is_reported(tmp_path, capsys):
+    # the sweep reports its failed cells on stderr, which is saved beside stdout
+    outputs = load_script()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        assert outputs.main(["write", str(side), "--only", "sweep_relu_3x3"]) == 0
+    path = b / "sweep_relu_3x3" / "stderr.txt"
+    assert path.read_text().startswith("3 of 9 cells failed; first at sw2=5.000 sb2=0.000: ")
+    path.write_text(path.read_text().replace("3 of 9", "4 of 9", 1))
+    capsys.readouterr()
+    assert outputs.main(["compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    moved = [line for line in lines if not line.endswith(": identical")]
+    assert len(moved) == 1
+    assert moved[0].startswith("sweep_relu_3x3/stderr.txt: numeric cells moved: 1 of ")
