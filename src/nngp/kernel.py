@@ -26,8 +26,8 @@ once for a whole sweep, or for all the layers of :func:`iter_kernel_layers`.
 Storage (:class:`KernelMatrix`): a kernel read off its inputs stores the
 symmetric train block once, as its lower triangle in LAPACK's rectangular
 full packed (RFP) layout, n_train (n_train + 1) / 2 doubles, and its plan.
-The build forms the Gram a panel of rows at a time and writes each panel's
-triangle straight into the packed array, so no n_train^2 array exists. The
+The build forms the Gram's lower triangle straight into that packed array
+(LAPACK's dsfrk) and reads it off there, so no n_train^2 array exists. The
 cross block is not stored: any range of test columns is read off the plan
 on request, and the posterior (:mod:`nngp.regression`) streams it a panel
 of columns at a time, so no n_train x n_test array exists either. The
@@ -55,7 +55,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dtrttf
+from scipy.linalg.lapack import dsfrk, dtrttf
 
 from .activations import RELU, get_activation, registered_activation
 from .lookup import (LookupTable, TableRangeError, expectation_direct, interpolate,
@@ -290,12 +290,12 @@ _TRANSFER_COSINES = np.union1d(np.linspace(-1.0, 1.0, 1025),
 # equal-width buckets over the cosine axis; below c ~ 0.9992 none holds more
 # than two transfer nodes, above it the geometric nodes crowd toward c = 1
 _BUCKETS = 1 << 16
-# Gram rows per panel: the read-off holds one n_train x _PANEL_ROWS panel of
-# the Gram at a time (7.8 MiB at 4000 training points), never the Gram
+# test rows per panel of the cross block's Gram: each panel is one dgemm into
+# the columns it is read off in
 _PANEL_ROWS = 256
-# Gram entries per row block: each work buffer of a block stays at 256 KiB
+# train Gram entries per block: each work buffer of a block stays at 256 KiB
 _BLOCK_ENTRIES = 1 << 15
-# test rows per row block: _CROSS_BLOCK_ROWS, or as many as fill
+# test rows per block: _CROSS_BLOCK_ROWS, or as many as fill
 # _CROSS_BLOCK_ENTRIES where n_train is small. A block's four work buffers
 # (25 bytes an entry) then take 200 bytes per training point or 200 KiB,
 # whichever is more; with the posterior's finiteness scan (64 bytes per
@@ -306,8 +306,6 @@ _BLOCK_ENTRIES = 1 << 15
 # 2.4 times as long
 _CROSS_BLOCK_ROWS = 8
 _CROSS_BLOCK_ENTRIES = 1 << 13
-# on and below the diagonal of the tallest train block's diagonal square
-_LOWER = np.tri(math.isqrt(_BLOCK_ENTRIES), dtype=bool)
 # a triangle is mirrored in square tiles of this side, 128 KiB each: at
 # n = 300 they take 0.06 ms where 256-tiles take 0.15, and from n = 3000 up
 # both take the same time
@@ -317,7 +315,7 @@ _STRICT_LOWER = np.tri(_TILE, k=-1, dtype=bool)
 
 def _panels(r0: int, r1: int) -> list[tuple[int, int]]:
     """Row bounds of the Gram's panels over rows r0:r1, _PANEL_ROWS rows
-    each. A whole read-off starts its panels at row 0 and at n_train; a
+    each. A whole read-off of the test rows starts its panels at n_train; a
     range that starts on one of its panel bounds forms each row in the same
     product, so with the same bits."""
     return [(p0, min(r1, p0 + _PANEL_ROWS)) for p0 in range(r0, r1, _PANEL_ROWS)]
@@ -333,13 +331,25 @@ def _gram_rows(x_rows: np.ndarray, x_train: np.ndarray, out: np.ndarray) -> None
         dgemm(1.0, x_train.T, x_rows.T, trans_a=True, c=out, overwrite_c=True)
 
 
+def _gram_lower(x_train: np.ndarray, packed: np.ndarray) -> None:
+    """Write x_train @ x_train.T's lower triangle by LAPACK's dsfrk into the
+    RFP array packed (TRANSR = 'N', UPLO = 'L', see :func:`_rfp_views`).
+
+    The C-order x_train is passed as its F-order transpose, so nothing is
+    copied on the way in, and dsfrk writes straight into packed."""
+    n, d_in = x_train.shape
+    if packed.size:
+        dsfrk(n, d_in, 1.0, x_train.T, 0.0, packed, transr="N", uplo="L", trans="T",
+              overwrite_c=1)
+
+
 def _gram(x_all: np.ndarray, x_train: np.ndarray) -> np.ndarray:
     """x_all @ x_train.T by scipy's BLAS, a C-order (points, train) array.
 
     It is formed panel by panel (:func:`_panels`), each panel one dgemm, just
-    as the read-off forms it: the same entries from one product over all
-    rows need not be the same bits. The read-off itself never forms it
-    whole."""
+    as the read-off forms its cross block: the same entries from one product
+    over all rows need not be the same bits. The read-off forms its train
+    triangle by :func:`_gram_lower` instead, and forms neither whole."""
     n_all, n_train = x_all.shape[0], x_train.shape[0]
     out = np.empty((n_train, n_all), order="F")
     for r0, r1 in _panels(0, n_train) + _panels(n_train, n_all):
@@ -393,29 +403,6 @@ def _unpack_lower(packed: np.ndarray, out: np.ndarray) -> None:
     out[n1:, n1:] = last
 
 
-def _put_lower(first: np.ndarray, last: np.ndarray, src: np.ndarray, r0: int) -> None:
-    """Copy the entries of L's rows r0:r1 on or below its diagonal from src
-    into L's RFP views (first, last).
-
-    src is (r1 - r0, r1): those rows up to the diagonal. Its columns left of
-    r0 are copied whole, its diagonal square through the _LOWER mask; the
-    columns from n1 on go to last, from its row r0 - n1 (or 0) down.
-    """
-    h, r1 = src.shape
-    n1 = first.shape[1]
-    for c0, c1 in ((0, r0), (r0, r1)):
-        for a, b in ((c0, min(c1, n1)), (max(c0, n1), c1)):
-            if a >= b:
-                continue
-            i0 = r0 if a < n1 else max(r0, n1)
-            dst = first[i0:r1, a:b] if a < n1 else last[i0 - n1:r1 - n1, a - n1:b - n1]
-            piece = src[i0 - r0:, a:b]
-            if c0 == r0:
-                np.copyto(dst, piece, where=_LOWER[i0 - r0:h, a - r0:b - r0])
-            else:
-                np.copyto(dst, piece)
-
-
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the square a's strict lower triangle onto its upper one.
 
@@ -455,20 +442,22 @@ class _Plan:
     A kernel is read off in two parts: its train block's lower triangle into
     an RFP array (:meth:`fill`, see :func:`_rfp_views`), and any range of
     its cross block's test columns into an F-order array (:meth:`read_cross`),
-    on request. Both run over the Gram in panels (:func:`_panels`) and each
-    panel in row blocks (:meth:`_blocks`), train rows up to the diagonal and
-    test rows across, storing only the entries on or below the diagonal.
+    on request. Each part's Gram is formed where it is read off: the
+    triangle by one dsfrk product (:func:`_gram_lower`) into the RFP array,
+    the test columns by one dgemm per panel (:func:`_panels`) into the
+    array's columns. The read-off is elementwise, so it runs over either
+    array flat, in blocks: _BLOCK_ENTRIES of the triangle, or ``cross_rows``
+    test rows of a panel.
 
-    A plan that is not kept locates every block as it reads it
-    (:meth:`_read_panels`): it forms a train panel in one n_train x
-    _PANEL_ROWS buffer and a test panel in the output's own columns. So no
-    n_train^2 or n_train x n_test array exists, and the packed block can be
-    read off again after a factor has consumed it. A kept plan (``keep``)
-    locates every block once, the same way, and keeps each as it was
-    located: its offsets, intervals and tail entries, about two
-    kernel-sized arrays in all. Every read replays the kept blocks through
-    the same formula as a fresh read, and forms no Gram. This is one plan
-    per sweep, and one for all the layers of :func:`iter_kernel_layers`.
+    A plan that is not kept locates every block in place as it reads it
+    (:meth:`_located`). So no n_train^2 or n_train x n_test array exists,
+    and the packed block can be read off again after a factor has consumed
+    it. A kept plan (``keep``) forms the triangle and the cross block once,
+    into arrays of its own, locates every block there, and keeps each: its
+    offsets (over its Gram entries), intervals and tail entries, 16 bytes an
+    entry in all. Every read replays the kept blocks through the same
+    formula as a fresh read, and forms no Gram. This is one plan per sweep,
+    and one for all the layers of :func:`iter_kernel_layers`.
     """
 
     def __init__(self, train_inputs: np.ndarray, test_inputs: np.ndarray | None,
@@ -503,6 +492,7 @@ class _Plan:
         self.first = np.concatenate(([0], np.cumsum(counts[:self.cut])))
         self.packed_size = n_train * (n_train + 1) // 2
         self.diagonal = _rfp_diagonal(n_train)
+        self.cross_rows = max(_CROSS_BLOCK_ROWS, _CROSS_BLOCK_ENTRIES // max(1, n_train))
         self.kept = None
         if keep:
             self.kept = self._keep()
@@ -518,79 +508,85 @@ class _Plan:
             np.copyto(out, work, casting="unsafe")
         return out
 
-    def _blocks(self, p0: int, p1: int):
-        """The (r0, r1, c1) row blocks of panel rows p0:p1: train rows r0:r1
-        up to the diagonal, with (r1 - r0) r1 <= _BLOCK_ENTRIES entries, or
-        test rows across all n_train columns, _CROSS_BLOCK_ROWS of them or
-        up to _CROSS_BLOCK_ENTRIES entries."""
-        n_train = self.n_train
-        if p0 < n_train:
-            r0 = p0
-            while r0 < p1:
-                height = (math.isqrt(r0 * r0 + 4 * _BLOCK_ENTRIES) - r0) // 2
-                r1 = min(p1, r0 + max(1, height))
-                yield r0, r1, r1
-                r0 = r1
-        else:
-            step = max(_CROSS_BLOCK_ROWS, _CROSS_BLOCK_ENTRIES // max(1, n_train))
-            for r0 in range(p0, p1, step):
-                yield r0, min(p1, r0 + step), n_train
+    def _span(self, r0: int, r1: int) -> tuple[int, int]:
+        """(lo, hi): where the plan's rows r0:r1, all train rows or test rows,
+        sit in its Gram entries, flat: the train triangle's RFP array, then
+        the cross block's test rows of n_train entries each."""
+        if r0 < self.n_train:
+            return 0, self.packed_size
+        return (self.packed_size + (r0 - self.n_train) * self.n_train,
+                self.packed_size + (r1 - self.n_train) * self.n_train)
 
     def _block_size(self, r0: int, r1: int) -> int:
-        """The most entries in one row block over the plan's rows r0:r1; a
-        test block holds more than _BLOCK_ENTRIES once n_train > 4096."""
-        return max([(b1 - b0) * c1 for p in _panels(r0, r1) for b0, b1, c1 in self._blocks(*p)],
-                   default=0)
+        """The most entries in one block over the plan's rows r0:r1; a test
+        block holds more than _BLOCK_ENTRIES once n_train > 4096."""
+        if r0 < self.n_train:
+            return min(_BLOCK_ENTRIES, self.packed_size)
+        return min(self.cross_rows, r1 - r0) * self.n_train
 
-    def _read_panels(self, r0: int, r1: int, work: np.ndarray,
-                     cross: np.ndarray | None = None):
-        """Locate each row block over the plan's rows r0:r1, all train rows
-        or all test rows, and yield its (r0, dv, e, tail, tail values): dv
-        the block's Gram rows up to c1 with their offsets written over them,
-        tail the flat indices in dv of its tail entries.
+    def _locate(self, v: np.ndarray, work: np.ndarray, buckets: np.ndarray,
+                intervals: np.ndarray, mask: np.ndarray) -> tuple:
+        """Locate the flat Gram entries v in place: (dv, e, tail, tail values),
+        dv being v with each entry's offset v - start[e] written over it, and
+        tail the indices in v of its tail entries.
 
         e counts the nodes at or below each entry, so interval e - 1 holds it
-        and index e of start, slope and level is that interval; dv and e live
-        in buffers that the next block reuses, and the float work of
-        _block_size(r0, r1) entries is free again at each yield. Panels are
-        formed in one buffer, or test panels in the columns of the F-order
-        cross, whose column 0 is row r0.
+        and index e of start, slope and level is that interval. e is held in
+        intervals, which the next block reuses; the float work, buckets and
+        mask are free again on return.
         """
-        x_all, x_train = self.x_all, self.x_all[:self.n_train]
-        panels = _panels(r0, r1)
+        n = v.size
+        f, b, e, m = work[:n], buckets[:n], intervals[:n], mask[:n]
+        self.bucket(v, f, b)
+        np.take(self.first, b, out=e, mode="clip")
+        for _ in range(2):
+            e += np.less_equal(np.take(self.nodes, e, out=f, mode="clip"), v, out=m)
+        tail = np.flatnonzero(np.greater_equal(b, self.cut, out=m))
+        tail_values = v[tail]
+        np.subtract(v, np.take(self.start, e, out=f, mode="clip"), out=v)
+        return v, e, tail, tail_values
+
+    def _located(self, r0: int, r1: int, flat: np.ndarray, work: np.ndarray):
+        """Form the Gram over the plan's rows r0:r1 in the flat array flat and
+        locate it block by block: yield each block's (o, dv, e, tail, tail
+        values), o its first entry in the plan's flat order (:meth:`_span`),
+        the rest as :meth:`_locate` gives them.
+
+        The train triangle is one dsfrk product into flat, read in blocks of
+        _BLOCK_ENTRIES; test rows are formed a panel at a time in flat's
+        columns, as an F-order (n_train, r1 - r0) array, and read in blocks
+        of cross_rows rows. The float work of _block_size(r0, r1) entries is
+        free again at each yield.
+        """
+        lo, n = self._span(r0, r1)[0], self.n_train
         size = work.size
-        buckets, intervals = np.empty(size, np.intp), np.empty(size, np.intp)
-        mask = np.empty(size, bool)
-        if cross is None and panels:
-            buffer = np.empty((self.n_train, max(p1 - p0 for p0, p1 in panels)), order="F")
-        for p0, p1 in panels:
-            out = buffer[:, :p1 - p0] if cross is None else cross[:, p0 - r0:p1 - r0]
-            _gram_rows(x_all[p0:p1], x_train, out)
-            panel = out.T
-            for b0, b1, c1 in self._blocks(p0, p1):
-                v = panel[b0 - p0:b1 - p0, :c1]
-                shape, n = v.shape, v.size
-                f = work[:n].reshape(shape)
-                m = mask[:n].reshape(shape)
-                b = self.bucket(v, f, buckets[:n].reshape(shape))
-                e = intervals[:n].reshape(shape)
-                np.take(self.first, b, out=e, mode="clip")
-                for _ in range(2):
-                    e += np.less_equal(np.take(self.nodes, e, out=f, mode="clip"), v, out=m)
-                tail = np.flatnonzero(np.greater_equal(b, self.cut, out=m))
-                tail_values = v.flat[tail]
-                np.subtract(v, np.take(self.start, e, out=f, mode="clip"), out=v)
-                yield b0, v, e, tail, tail_values
+        buffers = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, bool)
+
+        def blocks(a0: int, a1: int, step: int):
+            for a in range(a0, a1, step):
+                yield (lo + a, *self._locate(flat[a:min(a1, a + step)], work, *buffers))
+
+        if r0 < n:
+            _gram_lower(self.x_all[:n], flat)
+            yield from blocks(0, flat.size, _BLOCK_ENTRIES)
+            return
+        columns = flat.reshape((n, -1), order="F")
+        for p0, p1 in _panels(r0, r1):
+            _gram_rows(self.x_all[p0:p1], self.x_all[:n], columns[:, p0 - r0:p1 - r0])
+            yield from blocks((p0 - r0) * n, (p1 - r0) * n, self.cross_rows * n)
 
     def _keep(self) -> list[tuple]:
-        """Every row block as :meth:`_read_panels` locates it, train blocks
-        then test blocks, each test panel formed in one panel buffer; each
-        block's offsets and intervals are copied out of the buffers the next
-        block reuses."""
-        return [(b0, dv.copy(), e.copy(), tail, tail_values)
-                for r0, r1 in ((0, self.n_train), (self.n_train, self.n_all))
-                for b0, dv, e, tail, tail_values in self._read_panels(
-                    r0, r1, np.empty(self._block_size(r0, r1)))]
+        """Every block as :meth:`_located` locates it, train blocks then test
+        blocks, in two arrays of the plan's own that then hold their offsets:
+        the packed train triangle and the F-order cross block. Each block's
+        intervals are copied out of the buffer the next block reuses."""
+        kept = []
+        for r0, r1 in ((0, self.n_train), (self.n_train, self.n_all)):
+            lo, hi = self._span(r0, r1)
+            blocks = self._located(r0, r1, np.empty(hi - lo), np.empty(self._block_size(r0, r1)))
+            kept += [(o, dv, e.copy(), tail, tail_values)
+                     for o, dv, e, tail, tail_values in blocks]
+        return kept
 
     def transfer(self, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(fp, slope, level): np.interp's formula on every interval of the
@@ -605,43 +601,34 @@ class _Plan:
         one block bound to another: train rows' lower entries into the RFP
         array out, or test rows into the F-order out's columns.
 
-        The row blocks are located afresh (:meth:`_read_panels`), or replayed
-        as a kept plan keeps them; one loop reads both. Each entry is
-        np.interp(v, nodes, fp), bit for bit, read in its order
+        The blocks are formed and located in out itself (:meth:`_located`),
+        or replayed into it as a kept plan keeps them; one loop reads both.
+        Each entry is np.interp(v, nodes, fp), bit for bit, read in its order
         (v - start[e]) slope[e] + level[e], and a block's tail entries by
         np.interp itself.
         """
         fp, slope, level = transfer
-        train = r0 < self.n_train
+        flat = np.reshape(out, -1, order="F", copy=False)
+        lo, hi = self._span(r0, r1)
         work = np.empty(self._block_size(r0, r1))
         if self.kept is None:
-            blocks = self._read_panels(r0, r1, work, None if train else out)
+            blocks = self._located(r0, r1, flat, work)
         else:
-            blocks = (block for block in self.kept if r0 <= block[0] < r1)
-            rows = np.empty_like(work) if train else None
-        if train:
-            first, last = _rfp_views(out, self.n_train)
-        for b0, dv, e, tail, tail_values in blocks:
-            w = work[:e.size].reshape(e.shape)
-            if self.kept is None:
-                v = dv  # in its panel, which for test rows is out's own columns
-            elif train:
-                v = rows[:e.size].reshape(e.shape)
-            else:
-                v = out.T[b0 - r0:b0 - r0 + len(e)]
+            blocks = (block for block in self.kept if lo <= block[0] < hi)
+        for o, dv, e, tail, tail_values in blocks:
+            v = flat[o - lo:o - lo + e.size]  # dv itself in a fresh read
+            w = work[:e.size]
             np.multiply(dv, np.take(slope, e, out=w, mode="clip"), out=v)
             v += np.take(level, e, out=w, mode="clip")
             if tail.size:
-                v.flat[tail] = np.interp(tail_values, self.nodes, fp)
-            if train:
-                _put_lower(first, last, v, b0)
+                v[tail] = np.interp(tail_values, self.nodes, fp)
 
     def fill(self, transfer: tuple, packed: np.ndarray) -> None:
         """Write the train block of the kernel with transfer row transfer
         (see :meth:`transfer`) into the RFP array packed.
 
-        The diagonal is then set to fp[-1], the layer variance: a general
-        matrix product need not put exactly the same value on it.
+        The diagonal is then set to fp[-1], the layer variance: a matrix
+        product need not put exactly the same value on it.
         """
         self._read(transfer, 0, self.n_train, packed)
         packed[self.diagonal] = transfer[0][-1]
@@ -685,8 +672,8 @@ def build_kernel_matrix(train_inputs: np.ndarray, hp: NetworkHyperparams,
                         test_inputs: np.ndarray | None = None) -> KernelMatrix:
     """Kernel at the output layer over train (and optionally test) points.
 
-    Its plan is not kept: the packed train block is read off a Gram panel at
-    a time, and the plan stays with the kernel, to read the cross block off
+    Its plan is not kept: the packed train block is read off its Gram in
+    place, and the plan stays with the kernel, to read the cross block off
     when it is asked for and to re-read the train block after a posterior
     has factored it."""
     return next(_Plan(train_inputs, test_inputs, keep=False).read_off(hp, table, [hp.depth]))

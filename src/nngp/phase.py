@@ -293,10 +293,11 @@ def heatmap_sweep(dataset: Dataset, phi: str, depth: int, sw2_grid: np.ndarray,
     so a cell makes no variance solve; it solves for the mean exactly as
     :func:`nngp.regression.posterior` does, and so fails as it would. Every
     cell is read off one kept kernel plan over the train and validation
-    inputs, so the Gram is formed (a panel of rows at a time) and each
-    entry's interval found once per sweep. A cell composes its layer map,
-    reads its packed train triangle off the kept row blocks into a new
-    buffer, and reads the cross block off them a panel of validation columns
+    inputs, so the Gram is formed (its train triangle packed, its cross
+    block a panel of rows at a time) and each entry's interval found once
+    per sweep. A cell composes its layer map, reads its packed train
+    triangle off the kept blocks into a new buffer, and reads the cross
+    block off them a panel of validation columns
     at a time as the mean step streams it. One lookup table is shared
     across all cells. Per-cell failures (variance escaping the table,
     factorization breakdown) leave nan cells and record their reason; a

@@ -226,22 +226,28 @@ def interp_kernel(x_train: np.ndarray, x_test, hp, table, layer=None):
 
     The composition is the kernel's own (``_compose`` over the transfer
     cosines); every Gram entry is then interpolated by np.interp's binary
-    search, the train triangle is mirrored from above the diagonal and the
-    diagonal set to q_l. No buckets, no row blocks.
+    search, the train triangle is mirrored from below the diagonal and the
+    diagonal set to q_l. No buckets, no blocks.
     """
-    from nngp.kernel import _TRANSFER_COSINES, _compose, _gram
+    from nngp.kernel import _TRANSFER_COSINES, _compose, _gram, _gram_lower, _unpack_lower
 
     layer = hp.depth if layer is None else layer
     x_all = x_train if x_test is None else np.vstack([x_train, x_test])
     n_train, d_in = x_train.shape[0], x_all.shape[1]
     rho = float(np.einsum("ij,ij->i", x_all, x_all).mean()) / d_in
     rows = _compose(hp.sigma_b2 + hp.sigma_w2 * rho * _TRANSFER_COSINES, -1, hp, table)
-    # the kernel's own product: another BLAS call (x_train @ x_all.T, or numpy's
-    # matrix-vector path at n_train = 1) need not give the same bits
-    k = np.interp(_gram(x_all, x_train).T, rho * d_in * _TRANSFER_COSINES, rows[layer])
+    # the kernel's own products: another BLAS call (x_train @ x_all.T, or
+    # numpy's matrix-vector path at n_train = 1) need not give the same bits,
+    # and the train triangle's dsfrk differs from the dgemm panels in the last
+    # bit of some entries
+    g = _gram(x_all, x_train).T.copy(order="F")
+    packed = np.empty(n_train * (n_train + 1) // 2)
+    _gram_lower(np.ascontiguousarray(x_train, dtype=np.float64), packed)
+    _unpack_lower(packed, g[:, :n_train])
+    k = np.interp(g, rho * d_in * _TRANSFER_COSINES, rows[layer])
     kdd = k[:, :n_train]
-    lower = np.tril_indices(n_train, -1)
-    kdd[lower] = kdd.T[lower]
+    upper = np.triu_indices(n_train, 1)
+    kdd[upper] = kdd.T[upper]
     np.fill_diagonal(kdd, rows[layer, -1])
     return k
 

@@ -19,8 +19,8 @@ from nngp import (
     sample_prior,
 )
 from nngp.activations import RELU, TANH
-from nngp.kernel import (_PANEL_ROWS, _TRANSFER_COSINES, _common_squared_norm, _compose,
-                         _layer_map, _mirror_lower, _Plan)
+from nngp.kernel import (_BLOCK_ENTRIES, _PANEL_ROWS, _TRANSFER_COSINES,
+                         _common_squared_norm, _compose, _layer_map, _mirror_lower, _Plan)
 
 from .conftest import constant_norm_points
 from .oracles import (
@@ -384,9 +384,10 @@ def test_kept_plan_reads_off_build_kernel_matrix_bitwise(case, request, blob_dat
 @pytest.mark.parametrize("n_train", [1, 2, 3, 8, 301, 600])
 def test_packed_block_is_rfp_of_np_interp(n_train, keep, blob_dataset, relu_table):
     # the train block is stored as LAPACK's RFP lower triangle of the
-    # np.interp kernel, both parities, inside and past a Gram panel; a block
-    # a factor consumed is read off again with the same bits
-    assert _PANEL_ROWS < 301
+    # np.interp kernel, both parities, inside one flat block of the read-off
+    # and across several; a block a factor consumed is read off again with
+    # the same bits
+    assert _BLOCK_ENTRIES < 301 * 302 // 2
     hp = hp_relu(depth=20, sw2=1.45, sb2=0.28)
     x_train, x_test = blob_dataset.train_inputs[:n_train], blob_dataset.valid_inputs[:50]
     k = next(_Plan(x_train, x_test, keep=keep).read_off(hp, relu_table, [hp.depth]))
@@ -418,21 +419,51 @@ def test_build_peaks_at_packed_cross_and_one_gram_panel(tanh_table):
     assert peak <= packed + cross + panel + 2 * 2**20
 
 
-def test_kept_plan_memory_is_its_offsets_and_intervals():
-    # a kept plan holds each stored entry's offset and interval, 16 bytes,
-    # 183.1 MiB here, and while it locates them one Gram panel (7.8 MiB)
-    # and block buffers beside. Laid out in the kernel's own order the same
-    # entries held 183.8 MiB and peaked at 195.4 MiB; the bounds allow 2%
-    x_train = constant_norm_points(4000, 50, seed=8)
-    x_test = constant_norm_points(1000, 50, seed=9)
+def test_build_without_test_points_peaks_at_packed_and_no_gram_panel(tanh_table):
+    # the train Gram is formed in the packed array itself: beside it only the
+    # plan's tables and block buffers, under 2 MiB, where a 1500 x 256 Gram
+    # panel alone would take 2.9 MiB
+    n_train = 1500
+    x_train = constant_norm_points(n_train, 20, seed=8)
     tracemalloc.start()
     try:
-        _Plan(x_train, x_test, keep=True)
+        build_kernel_matrix(x_train, hp_tanh(depth=3, sw2=1.5, sb2=0.1), tanh_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_train * (n_train + 1) // 2 + 2 * 2**20
+
+
+def _kept_plan_memory(n_train, n_test, d_in):
+    """(held, peak) bytes of building a kept plan, and the plan."""
+    x_train = constant_norm_points(n_train, d_in, seed=8)
+    x_test = constant_norm_points(n_test, d_in, seed=9)
+    tracemalloc.start()
+    try:
+        plan = _Plan(x_train, x_test, keep=True)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return held, peak, plan
+
+
+def test_kept_plan_memory_is_its_offsets_and_intervals():
+    # a kept plan holds each stored entry's offset and interval, 16 bytes,
+    # 183.1 MiB here, and while it locates them block buffers beside: it
+    # holds 184.0 MiB and peaks at 187.2. The bounds allow 2% over 183.8
+    # and 195.4 MiB, room for one 7.8 MiB Gram panel beside
+    held, peak, _ = _kept_plan_memory(4000, 1000, 50)
     assert held <= 187 * 2**20
     assert peak <= 199 * 2**20
+    # it holds the entries of the packed triangle and the cross block and
+    # nothing more: no upper half of a diagonal square, which at 300 points
+    # would add 44% of the triangle's entries. Beside them, the constant
+    # tables and 64 KiB for the tail entries and the blocks' headers
+    n_train, n_test = 300, 200
+    held, _, plan = _kept_plan_memory(n_train, n_test, 20)
+    tables = sum(a.nbytes for a in (plan.first, plan.nodes, plan.start, plan.diagonal))
+    entries = n_train * (n_train + 1) // 2 + n_train * n_test
+    assert held <= 16 * entries + tables + 2**16
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

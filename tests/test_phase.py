@@ -484,20 +484,23 @@ def test_sweep_makes_no_variance_solve(monkeypatch, blob_dataset, tanh_table):
 
 
 def test_sweep_forms_the_gram_once(monkeypatch, blob_dataset, tanh_table):
-    # the kept plan forms the Gram one panel product at a time: each of the
-    # 800 train and 400 validation rows once per sweep, not once per cell
+    # the kept plan forms the Gram once per sweep, not once per cell: the 800
+    # train rows' triangle in one product, and each panel of the 400
+    # validation rows in one product
     calls = []
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return gram_rows(*args)
+    def counted(name, product):
+        def call(*args):
+            calls.append((name, args[0].shape))
+            return product(*args)
+        return call
 
-    gram_rows = kernel._gram_rows
-    monkeypatch.setattr(kernel, "_gram_rows", counted)
+    monkeypatch.setattr(kernel, "_gram_lower", counted("lower", kernel._gram_lower))
+    monkeypatch.setattr(kernel, "_gram_rows", counted("rows", kernel._gram_rows))
     sweep = heatmap_sweep(blob_dataset, "tanh", 3, np.linspace(0.5, 4.0, 3),
                           np.linspace(0.0, 1.0, 3), tanh_table)
     assert np.all(np.isfinite(sweep.cells))
-    assert calls == [(256, 20)] * 3 + [(32, 20), (256, 20), (144, 20)]
+    assert calls == [("lower", (800, 20)), ("rows", (256, 20)), ("rows", (144, 20))]
 
 
 def test_sweep_over_unequal_norms_records_one_reason_per_cell(blob_dataset, tanh_table):
@@ -518,6 +521,7 @@ def test_sweep_without_a_validation_split_raises_before_any_gram(monkeypatch, bl
         raise AssertionError("a Gram was formed")
 
     monkeypatch.setattr(kernel, "_gram", refused)
+    monkeypatch.setattr(kernel, "_gram_lower", refused)
     monkeypatch.setattr(kernel, "_gram_rows", refused)
     tr, _, te = blob_dataset.indices
     dataset = dataclasses.replace(blob_dataset, indices=(tr, tr[:0], te))
